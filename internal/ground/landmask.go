@@ -6,6 +6,7 @@ package ground
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"leosim/internal/geo"
@@ -13,9 +14,10 @@ import (
 
 // The land mask substitutes for the global-land-mask dataset the paper uses
 // [27]. It is a set of coarse continent polygons rasterized onto a 0.25°
-// grid. Only two decisions depend on it — whether an aircraft is over water
-// and whether a relay terminal location is on land — and both tolerate
-// coarse coastlines at the 0.5° relay granularity the paper works at.
+// grid by a scanline fill. Only two decisions depend on it — whether an
+// aircraft is over water and whether a relay terminal location is on land —
+// and both tolerate coarse coastlines at the 0.5° relay granularity the
+// paper works at.
 
 // polygon is a closed ring of (lon, lat) vertices in degrees.
 type polygon [][2]float64
@@ -144,33 +146,6 @@ var continents = map[string]polygon{
 	},
 }
 
-// pointInPolygon implements the even-odd ray-casting rule on the lon/lat
-// plane. The coarse polygons never cross the antimeridian, so plain planar
-// math suffices.
-func pointInPolygon(lon, lat float64, poly polygon) bool {
-	in := false
-	n := len(poly)
-	for i, j := 0, n-1; i < n; j, i = i, i+1 {
-		xi, yi := poly[i][0], poly[i][1]
-		xj, yj := poly[j][0], poly[j][1]
-		if (yi > lat) != (yj > lat) &&
-			lon < (xj-xi)*(lat-yi)/(yj-yi)+xi {
-			in = !in
-		}
-	}
-	return in
-}
-
-// isLandExact evaluates the polygons directly (no raster).
-func isLandExact(lat, lon float64) bool {
-	for _, poly := range continents {
-		if pointInPolygon(lon, lat, poly) {
-			return true
-		}
-	}
-	return false
-}
-
 // Raster resolution: 0.25° cells.
 const (
 	maskRes  = 0.25
@@ -183,15 +158,58 @@ var (
 	mask     []bool // row-major, row = lat index from -90, col = lon from -180
 )
 
-func buildMask() {
-	mask = make([]bool, maskCols*maskRows)
+func buildMask() { mask = rasterize() }
+
+// cellLat and cellLon give the centre of raster row r and column c.
+func cellLat(r int) float64 { return -90 + (float64(r)+0.5)*maskRes }
+func cellLon(c int) float64 { return -180 + (float64(c)+0.5)*maskRes }
+
+// rasterize fills the grid row by row, polygon by polygon, in
+// O(rows × edges + cells): a cell is land when any polygon contains its
+// centre.
+func rasterize() []bool {
+	cells := make([]bool, maskCols*maskRows)
+	var xs []float64
 	for r := 0; r < maskRows; r++ {
-		lat := -90 + (float64(r)+0.5)*maskRes
-		for c := 0; c < maskCols; c++ {
-			lon := -180 + (float64(c)+0.5)*maskRes
-			mask[r*maskCols+c] = isLandExact(lat, lon)
+		row := cells[r*maskCols : (r+1)*maskCols]
+		lat := cellLat(r)
+		for _, poly := range continents {
+			xs = fillRow(row, poly, lat, xs[:0])
 		}
 	}
+	return cells
+}
+
+// fillRow marks as land each cell of row whose centre (cellLon(c), lat)
+// lies inside poly by the even-odd rule on the lon/lat plane: the number of
+// edge crossings of latitude lat strictly east of the centre is odd. The
+// coarse polygons never cross the antimeridian, so plain planar math
+// suffices. xs is scratch space for the crossings; fillRow returns it
+// for reuse.
+func fillRow(row []bool, poly polygon, lat float64, xs []float64) []float64 {
+	n := len(poly)
+	for i, j := 0, n-1; i < n; j, i = i, i+1 {
+		xi, yi := poly[i][0], poly[i][1]
+		xj, yj := poly[j][0], poly[j][1]
+		if (yi > lat) != (yj > lat) {
+			xs = append(xs, (xj-xi)*(lat-yi)/(yj-yi)+xi)
+		}
+	}
+	slices.Sort(xs)
+	k := 0 // crossings at or west of the current centre
+	for c := range row {
+		lon := cellLon(c)
+		for k < len(xs) && xs[k] <= lon {
+			k++
+		}
+		if k == len(xs) {
+			break // no crossing east of here: the rest of the row is outside
+		}
+		if (len(xs)-k)%2 == 1 {
+			row[c] = true
+		}
+	}
+	return xs
 }
 
 // IsLand reports whether the given surface point is on land according to the
@@ -224,8 +242,7 @@ func LandFraction() float64 {
 	maskOnce.Do(buildMask)
 	var land, total float64
 	for r := 0; r < maskRows; r++ {
-		lat := -90 + (float64(r)+0.5)*maskRes
-		w := cosDeg(lat)
+		w := cosDeg(cellLat(r))
 		for c := 0; c < maskCols; c++ {
 			total += w
 			if mask[r*maskCols+c] {
