@@ -413,7 +413,9 @@ func (a *Advancer) Advance(t1 time.Time) *Delta {
 	// 4. Weights always drift (everything moved); the link set only changed
 	// if some visibility verdict flipped. Masked advances re-materialize
 	// and re-mask every step — a mask may transform links arbitrarily, so
-	// the masked list is always re-derived from the canonical base.
+	// the masked list is always re-derived from the canonical base. A
+	// reweight-only step keeps the frozen CSR, so it re-copies the new
+	// delays into the CSR's inline edge weights.
 	for _, ch := range d.Added {
 		a.deg[ch.Term]++
 		a.deg[ch.Sat]++
@@ -440,6 +442,7 @@ func (a *Advancer) Advance(t1 time.Time) *Delta {
 			l := &n.Links[i]
 			l.OneWayMs = n.Pos[l.A].Distance(n.Pos[l.B]) * geo.MsPerKm
 		}
+		n.syncEdgeWeights()
 	}
 	d.Reweighted = len(n.Links)
 
@@ -865,13 +868,11 @@ func (a *Advancer) materializeAndFreeze() {
 		pt := pos[tn]
 		for _, sat := range tm.linked {
 			li := int32(len(links))
-			links = append(links, Link{
-				A: tn, B: sat, Kind: LinkGSL, CapGbps: gslCap,
-				OneWayMs: pt.Distance(pos[sat]) * geo.MsPerKm,
-			})
-			edges[next[tn]] = EdgeRef{To: sat, Link: li}
+			w := pt.Distance(pos[sat]) * geo.MsPerKm
+			links = append(links, Link{A: tn, B: sat, Kind: LinkGSL, CapGbps: gslCap, OneWayMs: w})
+			edges[next[tn]] = EdgeRef{To: sat, Link: li, W: w}
 			next[tn]++
-			edges[next[sat]] = EdgeRef{To: tn, Link: li}
+			edges[next[sat]] = EdgeRef{To: tn, Link: li, W: w}
 			next[sat]++
 		}
 	}
@@ -881,13 +882,11 @@ func (a *Advancer) materializeAndFreeze() {
 		pa := pos[node]
 		for _, si := range a.airCands[ai] {
 			li := int32(len(links))
-			links = append(links, Link{
-				A: node, B: si, Kind: LinkGSL, CapGbps: gslCap,
-				OneWayMs: pa.Distance(pos[si]) * geo.MsPerKm,
-			})
-			edges[next[node]] = EdgeRef{To: si, Link: li}
+			w := pa.Distance(pos[si]) * geo.MsPerKm
+			links = append(links, Link{A: node, B: si, Kind: LinkGSL, CapGbps: gslCap, OneWayMs: w})
+			edges[next[node]] = EdgeRef{To: si, Link: li, W: w}
 			next[node]++
-			edges[next[si]] = EdgeRef{To: node, Link: li}
+			edges[next[si]] = EdgeRef{To: node, Link: li, W: w}
 			next[si]++
 		}
 	}
@@ -896,13 +895,11 @@ func (a *Advancer) materializeAndFreeze() {
 		for _, l := range b.Const.ISLs {
 			ia, ib := int32(l.A), int32(l.B)
 			li := int32(len(links))
-			links = append(links, Link{
-				A: ia, B: ib, Kind: LinkISL, CapGbps: islCap,
-				OneWayMs: pos[ia].Distance(pos[ib]) * geo.MsPerKm,
-			})
-			edges[next[ia]] = EdgeRef{To: ib, Link: li}
+			w := pos[ia].Distance(pos[ib]) * geo.MsPerKm
+			links = append(links, Link{A: ia, B: ib, Kind: LinkISL, CapGbps: islCap, OneWayMs: w})
+			edges[next[ia]] = EdgeRef{To: ib, Link: li, W: w}
 			next[ia]++
-			edges[next[ib]] = EdgeRef{To: ia, Link: li}
+			edges[next[ib]] = EdgeRef{To: ia, Link: li, W: w}
 			next[ib]++
 		}
 	}

@@ -143,6 +143,56 @@ func TestAdvanceDifferentialSeconds(t *testing.T) {
 	}
 }
 
+// requireEdgeWeightsSynced asserts that every frozen CSR edge slot carries
+// its link's current delay inline.
+func requireEdgeWeightsSynced(t *testing.T, label string, n *Network) {
+	t.Helper()
+	n.ensureCSR()
+	for i, e := range n.adjEdges {
+		if w := n.Links[e.Link].OneWayMs; e.W != w {
+			t.Fatalf("%s: CSR edge %d (link %d) has W=%v, link delay %v", label, i, e.Link, e.W, w)
+		}
+	}
+}
+
+// TestAdvanceEdgeWeightsSynced checks the CSR's inline weights after every
+// kind of advance step: a membership change (materializeAndFreeze), a
+// reweight-only step that keeps the frozen CSR — where a missed refresh
+// would go unnoticed by any structural check — and, under a fault mask, a
+// re-materialize and lazy re-freeze every step.
+func TestAdvanceEdgeWeightsSynced(t *testing.T) {
+	for _, masked := range []bool{false, true} {
+		var mask func(*Network)
+		if masked {
+			mask = func(n *Network) {
+				n.RewriteLinks(func(l Link) (Link, bool) { return l, l.A%29 != 0 })
+			}
+		}
+		b := advSetup(t, true, false, mask)
+		start := geo.Epoch.Add(3 * time.Hour)
+		a := b.NewAdvancer(start)
+		requireEdgeWeightsSynced(t, "initial", a.Net())
+		// 50 ms steps: short enough that some steps flip no GSL at all.
+		reweightOnly, changed := 0, 0
+		for i := 1; i <= 60; i++ {
+			d := a.Advance(start.Add(time.Duration(i) * 50 * time.Millisecond))
+			if d.FullRebuild {
+				t.Fatalf("masked=%v step %d fell back: %s", masked, i, d.Reason)
+			}
+			if len(d.Added)+len(d.Removed) == 0 {
+				reweightOnly++
+			} else {
+				changed++
+			}
+			requireEdgeWeightsSynced(t, fmt.Sprintf("masked=%v step %d", masked, i), a.Net())
+		}
+		if !masked && (reweightOnly == 0 || changed == 0) {
+			t.Fatalf("want both step kinds: %d reweight-only, %d membership changes", reweightOnly, changed)
+		}
+		requireEdgeWeightsSynced(t, fmt.Sprintf("masked=%v clone", masked), a.Net().Clone())
+	}
+}
+
 // TestAdvanceDifferentialMasked advances under an active fault mask (the
 // fault.Outages contract: RewriteLinks only) and requires byte-identity with
 // masked fresh rebuilds.

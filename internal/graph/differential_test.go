@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -120,6 +121,36 @@ func randomNet(r *rand.Rand, nodes, extraLinks int) *Network {
 	return n
 }
 
+// searchTree runs one full kernel search from src with the given links
+// banned and transit restricted by expand, and reads the tree back.
+func searchTree(n *Network, src int32, banned map[int32]bool, expand func(int32) bool) (dist []float64, prev []int32) {
+	st := AcquireSearch()
+	defer st.Release()
+	for li, b := range banned {
+		if b {
+			st.BanLink(li)
+		}
+	}
+	n.Search(st, SearchSpec{Src: src, Target: NoTarget, Expand: expand})
+	return readTree(st, n)
+}
+
+// readTree copies st's last search into fresh per-node slices.
+func readTree(st *SearchState, n *Network) (dist []float64, prev []int32) {
+	dist = make([]float64, n.N())
+	prev = make([]int32, n.N())
+	st.ReadTree(dist, prev)
+	return dist, prev
+}
+
+// extractPath walks a read-back predecessor tree from dst to src.
+func extractPath(n *Network, src, dst int32, dist []float64, prev []int32) (Path, bool) {
+	if math.IsInf(dist[dst], 1) {
+		return Path{}, false
+	}
+	return n.walkPath(src, dst, func(v int32) int32 { return prev[v] }, dist[dst])
+}
+
 func randomBans(r *rand.Rand, n *Network, frac float64) map[int32]bool {
 	banned := map[int32]bool{}
 	for li := range n.Links {
@@ -149,7 +180,7 @@ func TestDifferentialDijkstra(t *testing.T) {
 		src := int32(r.Intn(n.N()))
 		banned := randomBans(r, n, 0.15)
 
-		dist, prev := n.Dijkstra(src, banned)
+		dist, prev := searchTree(n, src, banned, nil)
 		wantDist, wantPrev := naiveDijkstra(n, src, NoTarget, banned, nil, nil, nil)
 		compareAll(t, n, dist, wantDist, prev, wantPrev, "banned")
 
@@ -161,7 +192,7 @@ func TestDifferentialDijkstra(t *testing.T) {
 		}
 		for rep := 0; rep < 3; rep++ {
 			n.Search(st, SearchSpec{Src: src, Target: NoTarget})
-			gotDist, gotPrev := st.materialize(n.N())
+			gotDist, gotPrev := readTree(st, n)
 			compareAll(t, n, gotDist, wantDist, gotPrev, wantPrev, "reused state")
 		}
 		st.Release()
@@ -175,7 +206,7 @@ func TestDifferentialExpand(t *testing.T) {
 		src := int32(r.Intn(n.N()))
 		expand := func(v int32) bool { return !n.IsGroundSide(v) }
 
-		dist, prev := n.DijkstraExpand(src, nil, expand)
+		dist, prev := searchTree(n, src, nil, expand)
 		wantDist, wantPrev := naiveDijkstra(n, src, NoTarget, nil, nil, expand, nil)
 		compareAll(t, n, dist, wantDist, prev, wantPrev, "sat-transit")
 
@@ -183,7 +214,7 @@ func TestDifferentialExpand(t *testing.T) {
 		// extracted route hop for hop.
 		for dst := int32(0); dst < int32(n.N()); dst++ {
 			p, ok := n.ShortestPathSatTransit(src, dst)
-			wp, wok := n.extractPath(src, dst, wantDist, wantPrev)
+			wp, wok := extractPath(n, src, dst, wantDist, wantPrev)
 			if ok != wok {
 				t.Fatalf("seed %d: sat-transit %d→%d reachable=%v, reference %v", seed, src, dst, ok, wok)
 			}
@@ -211,7 +242,7 @@ func TestDifferentialNodeBans(t *testing.T) {
 			st.BanNode(v)
 		}
 		n.Search(st, SearchSpec{Src: src, Target: NoTarget})
-		dist, prev := st.materialize(n.N())
+		dist, prev := readTree(st, n)
 		st.Release()
 
 		wantDist, wantPrev := naiveDijkstra(n, src, NoTarget, nil, bannedNodes, nil, nil)
@@ -235,7 +266,7 @@ func TestDifferentialKDisjoint(t *testing.T) {
 		var want []Path
 		for i := 0; i < 4; i++ {
 			wd, wp := naiveDijkstra(n, src, dst, banned, nil, nil, nil)
-			p, ok := n.extractPath(src, dst, wd, wp)
+			p, ok := extractPath(n, src, dst, wd, wp)
 			if !ok {
 				break
 			}
@@ -279,7 +310,7 @@ func TestDifferentialCostHook(t *testing.T) {
 
 		st := AcquireSearch()
 		n.Search(st, SearchSpec{Src: src, Target: NoTarget, Cost: cost})
-		dist, prev := st.materialize(n.N())
+		dist, prev := readTree(st, n)
 		wantDist, wantPrev := naiveDijkstra(n, src, NoTarget, nil, nil, nil, cost)
 		compareAll(t, n, dist, wantDist, prev, wantPrev, "cost hook")
 
@@ -336,7 +367,7 @@ func TestSearchStatePoolConcurrent(t *testing.T) {
 				src := int32(r.Intn(n.N()))
 				st := AcquireSearch()
 				n.Search(st, SearchSpec{Src: src, Target: NoTarget})
-				d, p := st.materialize(n.N())
+				d, p := readTree(st, n)
 				st.Release()
 				rf := want[n][src]
 				for v := range d {
@@ -350,4 +381,55 @@ func TestSearchStatePoolConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestSearchStateReuseAcrossModes runs one SearchState through a
+// Stop-abandoned search (which leaves queued heap slots behind), a banned
+// k-disjoint peeling sequence, ClearBans and a plain search. Every completed
+// search must match the naive reference: neither stale heap positions nor a
+// stuck ban flag may leak from one search into the next.
+func TestSearchStateReuseAcrossModes(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	n := randomNet(r, 1500, 3000)
+	st := AcquireSearch()
+	defer st.Release()
+
+	polls := 0
+	stop := func() bool { polls++; return polls > 1 } // abandon after stopPollInterval pops
+	if n.Search(st, SearchSpec{Src: 0, Target: NoTarget, Stop: stop}) {
+		t.Fatal("search should have been abandoned at the second Stop poll")
+	}
+	if len(st.heap) == 0 {
+		t.Fatal("abandoned search left no queued nodes; the test exercises nothing")
+	}
+
+	src, dst := int32(3), int32(1234)
+	banned := map[int32]bool{}
+	bannedNodes := map[int32]bool{int32(77): true}
+	st.BanNode(77)
+	for i := 0; i < 4; i++ {
+		n.Search(st, SearchSpec{Src: src, Target: dst})
+		dist, prev := readTree(st, n)
+		wantDist, wantPrev := naiveDijkstra(n, src, dst, banned, bannedNodes, nil, nil)
+		compareAll(t, n, dist, wantDist, prev, wantPrev, fmt.Sprintf("k-disjoint round %d", i))
+		p, ok := st.Path(dst)
+		if !ok {
+			t.Fatalf("round %d: no path", i)
+		}
+		for _, li := range p.Links {
+			st.BanLink(li)
+			banned[li] = true
+		}
+	}
+
+	st.ClearBans()
+	if st.bans || st.NodeBanned(77) {
+		t.Fatal("ClearBans left bans in force")
+	}
+	for _, src := range []int32{src, 0, 1499} {
+		n.Search(st, SearchSpec{Src: src, Target: NoTarget})
+		dist, prev := readTree(st, n)
+		wantDist, wantPrev := naiveDijkstra(n, src, NoTarget, nil, nil, nil, nil)
+		compareAll(t, n, dist, wantDist, prev, wantPrev, fmt.Sprintf("plain search from %d", src))
+	}
 }

@@ -65,7 +65,7 @@ func FuzzSearch(f *testing.F) {
 			}
 		}
 
-		dist, prev := n.Dijkstra(src, banned)
+		dist, prev := searchTree(n, src, banned, nil)
 		wantDist, wantPrev := naiveDijkstra(n, src, NoTarget, banned, nil, nil, nil)
 		for v := range dist {
 			if dist[v] != wantDist[v] || prev[v] != wantPrev[v] {
@@ -76,7 +76,7 @@ func FuzzSearch(f *testing.F) {
 
 		// Sat-transit restriction against the reference with the same expand.
 		expand := func(v int32) bool { return !n.IsGroundSide(v) }
-		gotD, gotP := n.DijkstraExpand(src, nil, expand)
+		gotD, gotP := searchTree(n, src, nil, expand)
 		refD, refP := naiveDijkstra(n, src, NoTarget, nil, nil, expand, nil)
 		for v := range gotD {
 			if gotD[v] != refD[v] || gotP[v] != refP[v] {
@@ -87,7 +87,7 @@ func FuzzSearch(f *testing.F) {
 
 		// Extracted path must be continuous and priced exactly at dist[dst].
 		if p, ok := n.ShortestPath(src, dst); ok {
-			d, _ := n.Dijkstra(src, nil)
+			d, _ := searchTree(n, src, nil, nil)
 			if math.Abs(p.OneWayMs-d[dst]) > 1e-12*math.Max(1, d[dst]) {
 				t.Fatalf("path delay %v vs dist %v", p.OneWayMs, d[dst])
 			}
@@ -112,8 +112,9 @@ func FuzzSearch(f *testing.F) {
 
 // FuzzBuildCSR checks the lazily built CSR adjacency against the flat link
 // list on arbitrary topologies: every link appears exactly once per endpoint,
-// degrees agree, and a RewriteLinks round-trip (the mutation path that
-// invalidates the CSR) rebuilds it consistently.
+// degrees agree, every edge slot carries its link's delay inline, and a
+// RewriteLinks round-trip (the mutation path that invalidates the CSR) and
+// a Clone both keep all of it consistent.
 func FuzzBuildCSR(f *testing.F) {
 	f.Add([]byte{6, 0, 0, 1, 1, 1, 2, 1, 4, 5, 1, 0, 5, 1})
 	f.Add([]byte{3, 0xFF, 0, 1, 1, 0, 1, 1, 1, 2, 1})
@@ -122,7 +123,7 @@ func FuzzBuildCSR(f *testing.F) {
 		if n == nil {
 			t.Skip()
 		}
-		verify := func(tag string) {
+		verify := func(tag string, n *Network) {
 			seen := make(map[int32]int, len(n.Links))
 			total := 0
 			for v := int32(0); v < int32(n.N()); v++ {
@@ -139,6 +140,9 @@ func FuzzBuildCSR(f *testing.F) {
 					if want := l.A + l.B - v; e.To != want {
 						t.Fatalf("%s: link %d from %d: To=%d, want %d", tag, e.Link, v, e.To, want)
 					}
+					if e.W != l.OneWayMs {
+						t.Fatalf("%s: link %d from %d: W=%v, link delay %v", tag, e.Link, v, e.W, l.OneWayMs)
+					}
 					seen[e.Link]++
 				}
 			}
@@ -151,8 +155,13 @@ func FuzzBuildCSR(f *testing.F) {
 				}
 			}
 		}
-		verify("initial")
-		n.RewriteLinks(func(l Link) (Link, bool) { return l, true })
-		verify("after rewrite")
+		verify("initial", n)
+		// Reweight and drop links so a stale frozen weight would show.
+		n.RewriteLinks(func(l Link) (Link, bool) {
+			l.OneWayMs *= 2
+			return l, l.OneWayMs < 12
+		})
+		verify("after rewrite", n)
+		verify("clone", n.Clone())
 	})
 }

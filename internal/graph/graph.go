@@ -7,7 +7,6 @@ package graph
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -90,6 +89,10 @@ type EdgeRef struct {
 	To int32
 	// Link indexes Network.Links.
 	Link int32
+	// W is Links[Link].OneWayMs, copied into the slot when the CSR is
+	// frozen (and refreshed when the advancer reweights links in place) so
+	// the relax loop never chases the 32-byte Link record.
+	W float64
 }
 
 // Network is an immutable per-snapshot network graph.
@@ -257,13 +260,26 @@ func (n *Network) freezeCSRLocked(start []int32) {
 	// per-node slices had, so relaxation order — and with it every
 	// tie-broken predecessor — is unchanged.
 	for li, l := range n.Links {
-		edges[next[l.A]] = EdgeRef{To: l.B, Link: int32(li)}
+		edges[next[l.A]] = EdgeRef{To: l.B, Link: int32(li), W: l.OneWayMs}
 		next[l.A]++
-		edges[next[l.B]] = EdgeRef{To: l.A, Link: int32(li)}
+		edges[next[l.B]] = EdgeRef{To: l.A, Link: int32(li), W: l.OneWayMs}
 		next[l.B]++
 	}
 	n.adjStart, n.adjEdges = start, edges
 	n.csrValid.Store(true)
+}
+
+// syncEdgeWeights re-copies every link's delay into its frozen CSR edge
+// slots after the links were reweighted in place without a re-freeze. An
+// unfrozen CSR picks the new weights up when it is next frozen.
+func (n *Network) syncEdgeWeights() {
+	if !n.csrValid.Load() {
+		return
+	}
+	for i := range n.adjEdges {
+		e := &n.adjEdges[i]
+		e.W = n.Links[e.Link].OneWayMs
+	}
 }
 
 // Clone returns an independent deep copy of the network with its CSR frozen.
@@ -317,43 +333,6 @@ func (p Path) RTTMs() float64 { return 2 * p.OneWayMs }
 
 // Hops returns the hop count (number of links).
 func (p Path) Hops() int { return len(p.Links) }
-
-// Dijkstra computes shortest (delay) distances from src to every node.
-// banned, if non-nil, marks link indices to skip. It returns per-node
-// distance in ms (math.Inf(1) if unreachable) and the predecessor link per
-// node (-1 at src/unreachable).
-//
-// This is the allocating convenience wrapper; hot loops should hold a
-// pooled SearchState and call Network.Search directly.
-func (n *Network) Dijkstra(src int32, banned map[int32]bool) (dist []float64, prevLink []int32) {
-	return n.DijkstraExpand(src, banned, nil)
-}
-
-// DijkstraExpand generalizes Dijkstra: when expand is non-nil, edges are only
-// relaxed out of nodes for which expand returns true (the source is always
-// expanded). This implements transit restrictions — e.g. §6's "pure ISL
-// path" model forbids ground terminals as intermediate hops, so expand
-// returns false for every ground-side node.
-func (n *Network) DijkstraExpand(src int32, banned map[int32]bool, expand func(int32) bool) (dist []float64, prevLink []int32) {
-	st := AcquireSearch()
-	defer st.Release()
-	for li, b := range banned {
-		if b {
-			st.BanLink(li)
-		}
-	}
-	n.Search(st, SearchSpec{Src: src, Target: NoTarget, Expand: expand})
-	return st.materialize(n.N())
-}
-
-// extractPath walks predecessor links (as returned by Dijkstra) from dst
-// back to src.
-func (n *Network) extractPath(src, dst int32, dist []float64, prevLink []int32) (Path, bool) {
-	if math.IsInf(dist[dst], 1) {
-		return Path{}, false
-	}
-	return n.walkPath(src, dst, func(v int32) int32 { return prevLink[v] }, dist[dst])
-}
 
 // ShortestPath returns the minimum-delay path from src to dst, or ok=false
 // if disconnected.
@@ -414,7 +393,8 @@ func (n *Network) MultiSourceDistances(sources []int32) [][]float64 {
 			st := AcquireSearch()
 			defer st.Release()
 			n.Search(st, SearchSpec{Src: src, Target: NoTarget})
-			out[i] = st.materializeDist(n.N())
+			out[i] = make([]float64, n.N())
+			st.ReadTree(out[i], nil)
 			return nil
 		})
 	}

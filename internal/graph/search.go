@@ -8,11 +8,12 @@ import (
 )
 
 // SearchState is the reusable scratch memory of one shortest-path search:
-// distance/predecessor arrays, the heap's backing storage, and epoch-stamped
-// link/node ban masks. Acquire one with AcquireSearch, run any number of
-// searches on a single network through Network.Search, and Release it when
-// done; the allocation-free inner loop is what lets experiment sweeps run
-// millions of searches without touching the garbage collector.
+// distance/predecessor arrays, the indexed heap's backing storage, and
+// epoch-stamped link/node ban masks. Acquire one with AcquireSearch, run any
+// number of searches on a single network through Network.Search, and
+// Release it when done; the allocation-free inner loop is what lets
+// experiment sweeps run millions of searches without touching the garbage
+// collector.
 //
 // A SearchState is not safe for concurrent use; acquire one per worker. It
 // must be used with one network at a time — AcquireSearch clears ban masks,
@@ -22,20 +23,28 @@ type SearchState struct {
 	src     int32
 	hasCost bool
 
-	// dist/delay/prevLink are valid for node v iff stamp[v] == searchStamp;
-	// stamping replaces the O(n) "fill with +Inf" re-initialization.
+	// dist/delay/prevLink/hpos are valid for node v iff stamp[v] ==
+	// searchStamp; stamping replaces the O(n) "fill with +Inf"
+	// re-initialization.
 	dist     []float64
 	delay    []float64
 	prevLink []int32
 	stamp    []uint32
+	// hpos[v] is v's slot in heap while v is queued and -1 once popped:
+	// a relaxation of a queued node sifts its entry up in place, so the
+	// heap never holds more than one entry per node.
+	hpos []int32
 
 	heap []heapEntry
 
 	// linkBan/nodeBan mark a link or node banned iff the entry equals
 	// banStamp. Bans persist across searches (KDisjointPaths accumulates
 	// them) until ClearBans bumps the stamp — no map, no clearing loop.
+	// bans records whether any ban was set since the last ClearBans, so
+	// unbanned searches skip both mask reads.
 	linkBan []uint32
 	nodeBan []uint32
+	bans    bool
 
 	searchStamp uint32
 	banStamp    uint32
@@ -66,6 +75,7 @@ func (st *SearchState) grow(nodes, links int) {
 		st.delay = append(st.delay, make([]float64, nodes-len(st.delay))...)
 		st.prevLink = append(st.prevLink, make([]int32, nodes-len(st.prevLink))...)
 		st.stamp = append(st.stamp, make([]uint32, nodes-len(st.stamp))...)
+		st.hpos = append(st.hpos, make([]int32, nodes-len(st.hpos))...)
 		st.nodeBan = append(st.nodeBan, make([]uint32, nodes-len(st.nodeBan))...)
 	}
 	if len(st.linkBan) < links {
@@ -91,6 +101,7 @@ func (st *SearchState) begin(n *Network, spec SearchSpec) {
 
 // ClearBans forgets every banned link and node.
 func (st *SearchState) ClearBans() {
+	st.bans = false
 	st.banStamp++
 	if st.banStamp == 0 { // wrapped: stale stamps could collide
 		for i := range st.linkBan {
@@ -109,6 +120,7 @@ func (st *SearchState) BanLink(li int32) {
 		st.linkBan = append(st.linkBan, make([]uint32, int(li)+1-len(st.linkBan))...)
 	}
 	st.linkBan[li] = st.banStamp
+	st.bans = true
 }
 
 // BanNode excludes node v from forwarding in subsequent searches: like a
@@ -118,6 +130,7 @@ func (st *SearchState) BanNode(v int32) {
 		st.nodeBan = append(st.nodeBan, make([]uint32, int(v)+1-len(st.nodeBan))...)
 	}
 	st.nodeBan[v] = st.banStamp
+	st.bans = true
 }
 
 // NodeBanned reports whether v is currently banned from forwarding.
@@ -137,15 +150,6 @@ func (st *SearchState) Dist(v int32) float64 {
 // Reached reports whether the last search reached node v.
 func (st *SearchState) Reached(v int32) bool { return st.stamp[v] == st.searchStamp }
 
-// PrevLink returns the predecessor link of node v in the last search (-1 at
-// the source or if unreached).
-func (st *SearchState) PrevLink(v int32) int32 {
-	if st.stamp[v] != st.searchStamp {
-		return -1
-	}
-	return st.prevLink[v]
-}
-
 // Path reconstructs the found route from the last search's source to dst.
 func (st *SearchState) Path(dst int32) (Path, bool) {
 	if st.stamp[dst] != st.searchStamp {
@@ -163,36 +167,25 @@ func (st *SearchState) Path(dst int32) (Path, bool) {
 	}, total)
 }
 
-// materialize copies the search outcome into freshly allocated dist/prevLink
-// slices with the legacy conventions (+Inf / -1 for unreached nodes).
-func (st *SearchState) materialize(nn int) (dist []float64, prevLink []int32) {
-	dist = make([]float64, nn)
-	prevLink = make([]int32, nn)
+// ReadTree copies the last search's outcome into dist and prev, which must
+// hold at least one entry per node; either may be nil to skip it. Unreached
+// nodes read +Inf and -1, the source reads 0 and -1.
+func (st *SearchState) ReadTree(dist []float64, prev []int32) {
 	inf := math.Inf(1)
-	for i := 0; i < nn; i++ {
-		if st.stamp[i] == st.searchStamp {
-			dist[i] = st.dist[i]
-			prevLink[i] = st.prevLink[i]
-		} else {
-			dist[i] = inf
-			prevLink[i] = -1
-		}
-	}
-	return dist, prevLink
-}
-
-// materializeDist is materialize without the predecessor copy.
-func (st *SearchState) materializeDist(nn int) []float64 {
-	dist := make([]float64, nn)
-	inf := math.Inf(1)
-	for i := 0; i < nn; i++ {
+	for i := range dist {
 		if st.stamp[i] == st.searchStamp {
 			dist[i] = st.dist[i]
 		} else {
 			dist[i] = inf
 		}
 	}
-	return dist
+	for i := range prev {
+		if st.stamp[i] == st.searchStamp {
+			prev[i] = st.prevLink[i]
+		} else {
+			prev[i] = -1
+		}
+	}
 }
 
 // heapEntry is one pending node in the priority queue. Entries are plain
@@ -209,54 +202,75 @@ func heapLess(a, b heapEntry) bool {
 	return a.dist < b.dist || (a.dist == b.dist && a.node < b.node)
 }
 
-// hpush pushes onto the 4-ary implicit heap. Quaternary beats binary here:
-// sift-downs dominate Dijkstra's pop-heavy workload and a 4-ary heap halves
-// their depth at the cost of a few extra comparisons per level, all within
-// one cache line of heapEntry values.
+// The queue is an indexed 4-ary implicit heap with decrease-key.
+// Quaternary beats binary here: sift-downs dominate Dijkstra's pop-heavy
+// workload and a 4-ary heap halves their depth at the cost of a few extra
+// comparisons per level, all within one cache line of heapEntry values.
+// Every placement records the entry's slot in hpos so a relaxation can find
+// and sift up a queued node's entry instead of pushing a duplicate.
+
+// hpush queues a node that is not in the heap.
 func (st *SearchState) hpush(e heapEntry) {
-	h := append(st.heap, e)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !heapLess(h[i], h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	st.heap = h
+	st.heap = append(st.heap, e)
+	st.siftUp(len(st.heap)-1, e)
 }
 
-// hpop removes and returns the minimum entry.
+// siftUp places e at slot i or above; e's key must not exceed the key that
+// slot i held.
+func (st *SearchState) siftUp(i int, e heapEntry) {
+	h := st.heap
+	for i > 0 {
+		p := (i - 1) >> 2
+		if !heapLess(e, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		st.hpos[h[i].node] = int32(i)
+		i = p
+	}
+	h[i] = e
+	st.hpos[e.node] = int32(i)
+}
+
+// hpop removes and returns the minimum entry, marking its node unqueued.
 func (st *SearchState) hpop() heapEntry {
 	h := st.heap
 	top := h[0]
+	st.hpos[top.node] = -1
 	n := len(h) - 1
-	h[0] = h[n]
+	e := h[n]
 	h = h[:n]
+	st.heap = h
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
 		c := i<<2 + 1
 		if c >= n {
 			break
 		}
-		best := c
 		end := c + 4
 		if end > n {
 			end = n
 		}
+		// Keep the best child's key in registers rather than re-reading
+		// h[best] at every comparison.
+		best, bk := c, h[c]
 		for j := c + 1; j < end; j++ {
-			if heapLess(h[j], h[best]) {
-				best = j
+			if k := h[j]; heapLess(k, bk) {
+				best, bk = j, k
 			}
 		}
-		if !heapLess(h[best], h[i]) {
+		if !heapLess(bk, e) {
 			break
 		}
-		h[i], h[best] = h[best], h[i]
+		h[i] = bk
+		st.hpos[bk.node] = int32(i)
 		i = best
 	}
-	st.heap = h
+	h[i] = e
+	st.hpos[e.node] = int32(i)
 	return top
 }
 
@@ -299,7 +313,13 @@ const NoTarget int32 = -1
 // st, honouring st's link/node bans. It is the single kernel behind every
 // routing entry point: plain and transit-restricted shortest paths, k
 // edge-disjoint paths, Yen's algorithm, and the congestion-aware router.
-// The inner loop performs no allocation and no hashing.
+// The inner loop performs no allocation and no hashing, and reads each
+// edge's weight from the CSR slot itself.
+//
+// Nodes settle in (dist, node) order: that is a strict total order, so the
+// decrease-key heap pops exactly the sequence any exact priority queue
+// would. A node that improves after it was popped — only a Cost hook that
+// breaks Dijkstra's premise can cause it — is queued and expanded again.
 //
 // Search reports whether it ran to completion: false means spec.Stop
 // abandoned it and st holds partial, unusable results.
@@ -311,13 +331,15 @@ func (n *Network) Search(st *SearchState, spec SearchSpec) bool {
 	defer sp.End()
 	n.ensureCSR()
 	st.begin(n, spec)
+	ss := st.searchStamp
 	st.dist[spec.Src] = 0
 	st.prevLink[spec.Src] = -1
 	if st.hasCost {
 		st.delay[spec.Src] = 0
 	}
-	st.stamp[spec.Src] = st.searchStamp
+	st.stamp[spec.Src] = ss
 	st.hpush(heapEntry{node: spec.Src})
+	bans := st.bans
 	pops := 0
 	for len(st.heap) > 0 {
 		if spec.Stop != nil && pops%stopPollInterval == 0 && spec.Stop() {
@@ -325,45 +347,50 @@ func (n *Network) Search(st *SearchState, spec SearchSpec) bool {
 		}
 		pops++
 		it := st.hpop()
-		if it.dist > st.dist[it.node] {
-			continue // stale entry
-		}
-		if it.node == spec.Target {
+		u := it.node
+		if u == spec.Target {
 			break // settled: dist/prevLink for the target are final
 		}
-		if it.node != spec.Src {
-			if st.nodeBan[it.node] == st.banStamp {
+		if u != spec.Src {
+			if bans && st.nodeBan[u] == st.banStamp {
 				continue
 			}
-			if spec.Expand != nil && !spec.Expand(it.node) {
+			if spec.Expand != nil && !spec.Expand(u) {
 				continue
 			}
 		}
-		lo, hi := n.adjStart[it.node], n.adjStart[it.node+1]
+		lo, hi := n.adjStart[u], n.adjStart[u+1]
 		for _, e := range n.adjEdges[lo:hi] {
-			if st.linkBan[e.Link] == st.banStamp {
+			if bans && st.linkBan[e.Link] == st.banStamp {
 				continue
 			}
-			var w float64
-			if spec.Cost == nil {
-				w = n.Links[e.Link].OneWayMs
-			} else {
+			w := e.W
+			if spec.Cost != nil {
 				w = spec.Cost(e.Link)
 				if math.IsInf(w, 1) {
 					continue
 				}
 			}
 			nd := it.dist + w
-			if st.stamp[e.To] == st.searchStamp && nd >= st.dist[e.To] {
-				continue
+			v := e.To
+			queued := st.stamp[v] == ss
+			if queued {
+				if nd >= st.dist[v] {
+					continue
+				}
+				queued = st.hpos[v] >= 0
 			}
-			st.dist[e.To] = nd
-			st.prevLink[e.To] = e.Link
-			st.stamp[e.To] = st.searchStamp
+			st.dist[v] = nd
+			st.prevLink[v] = e.Link
+			st.stamp[v] = ss
 			if st.hasCost {
-				st.delay[e.To] = st.delay[it.node] + n.Links[e.Link].OneWayMs
+				st.delay[v] = st.delay[u] + e.W
 			}
-			st.hpush(heapEntry{node: e.To, dist: nd})
+			if queued {
+				st.siftUp(int(st.hpos[v]), heapEntry{node: v, dist: nd})
+			} else {
+				st.hpush(heapEntry{node: v, dist: nd})
+			}
 		}
 	}
 	return true

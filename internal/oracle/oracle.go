@@ -13,13 +13,20 @@
 //     than approximately so: distances are bit-identical and the stored
 //     predecessor trees reconstruct the identical tie-broken path, byte for
 //     byte (the differential battery in oracle_test.go pins this across
-//     motifs, fault masks and presets).
+//     motifs, fault masks and presets). Of each tree the oracle keeps the
+//     predecessor link of every node but the distance of the city nodes
+//     only — the ncity × ncity matrix DistMs and Query read.
 //   - ALT landmarks: a handful of city sites chosen by farthest-point
-//     selection whose trees double as triangle-inequality lower bounds
-//     |d(l,u) − d(l,v)| ≤ d(u,v). The bounds are admissible and consistent,
-//     so they drive an exact goal-directed A* (PathBetween) for pairs the
-//     labels don't cover — arbitrary node pairs, not just cities — and give
-//     the property tests an invariant to hold the label arrays against.
+//     selection whose full distance rows double as triangle-inequality
+//     lower bounds |d(l,u) − d(l,v)| ≤ d(u,v). The bounds are admissible
+//     and consistent, so they drive an exact goal-directed A* (PathBetween)
+//     for pairs the labels don't cover — arbitrary node pairs, not just
+//     cities — and give the property tests an invariant to hold the labels
+//     against.
+//
+// At the reduced scale (150 cities, ~3.9 k nodes) that is ~2.3 MB of
+// predecessor trees, a 180 KB city matrix and 247 KB of landmark rows per
+// snapshot.
 //
 // An Oracle is immutable after Build and safe for unbounded concurrent
 // readers; it is pinned to the exact *graph.Network instance (and mutation
@@ -64,7 +71,8 @@ type Stats struct {
 	Nodes int
 	// BuildDuration is the wall time Build spent.
 	BuildDuration time.Duration
-	// Bytes approximates resident label memory (dist + prev arrays).
+	// Bytes approximates resident label memory: the city distance matrix,
+	// the landmark distance rows and the predecessor trees.
 	Bytes int64
 }
 
@@ -75,14 +83,19 @@ type Oracle struct {
 	nn    int // node count
 	ncity int
 
-	// dist/prev are the per-city trees, row-major: row i (the tree rooted
-	// at city i's node) occupies [i*nn, (i+1)*nn). dist holds +Inf at
-	// unreached nodes; prev holds -1 at the root and unreached nodes.
-	dist []float64
+	// prev holds the per-city predecessor trees, row-major: row i (the
+	// tree rooted at city i's node) occupies [i*nn, (i+1)*nn), with -1 at
+	// the root and unreached nodes.
 	prev []int32
+	// cityDist is the ncity × ncity matrix of city-to-city distances read
+	// off the same trees: entry i*ncity+j is d(city i, city j), +Inf when
+	// disconnected.
+	cityDist []float64
 
-	// landmarks indexes the chosen landmark cities (rows into dist).
+	// landmarks indexes the chosen landmark cities; landDist row k holds
+	// the distance from landmarks[k] to every node (+Inf if unreached).
 	landmarks []int
+	landDist  []float64
 
 	buildTime time.Duration
 }
@@ -105,12 +118,12 @@ func Build(ctx context.Context, n *graph.Network, opts Options) (*Oracle, error)
 		par = runtime.GOMAXPROCS(0)
 	}
 	o := &Oracle{
-		net:   n,
-		epoch: n.Epoch(),
-		nn:    nn,
-		ncity: ncity,
-		dist:  make([]float64, ncity*nn),
-		prev:  make([]int32, ncity*nn),
+		net:      n,
+		epoch:    n.Epoch(),
+		nn:       nn,
+		ncity:    ncity,
+		prev:     make([]int32, ncity*nn),
+		cityDist: make([]float64, ncity*ncity),
 	}
 	// Freeze the CSR once before the fan-out (Degree forces it) so workers
 	// never contend on the freeze lock.
@@ -127,17 +140,10 @@ func Build(ctx context.Context, n *graph.Network, opts Options) (*Oracle, error)
 			st := graph.AcquireSearch()
 			defer st.Release()
 			n.Search(st, graph.SearchSpec{Src: n.CityNode(city), Target: graph.NoTarget})
-			dist := o.dist[city*nn : (city+1)*nn]
-			prev := o.prev[city*nn : (city+1)*nn]
-			inf := math.Inf(1)
-			for v := int32(0); v < int32(nn); v++ {
-				if st.Reached(v) {
-					dist[v] = st.Dist(v)
-					prev[v] = st.PrevLink(v)
-				} else {
-					dist[v] = inf
-					prev[v] = -1
-				}
+			st.ReadTree(nil, o.prev[city*nn:(city+1)*nn])
+			row := o.cityDist[city*ncity : (city+1)*ncity]
+			for c := range row {
+				row[c] = st.Dist(n.CityNode(c))
 			}
 			return nil
 		})
@@ -146,12 +152,51 @@ func Build(ctx context.Context, n *graph.Network, opts Options) (*Oracle, error)
 		return nil, err
 	}
 	o.landmarks = selectLandmarks(o, opts.Landmarks)
+	o.landDist = make([]float64, len(o.landmarks)*nn)
+	for k, lc := range o.landmarks {
+		o.treeDist(lc, o.landDist[k*nn:(k+1)*nn])
+	}
 	o.buildTime = time.Since(start)
 	return o, nil
 }
 
+// treeDist fills row with the distance from city src to every node,
+// recomputed from src's stored predecessor tree: a node's distance is its
+// parent's plus the tree link's delay — the very addition by which the
+// kernel set the node's final label — so the row is bit-identical to the
+// kernel's distances.
+func (o *Oracle) treeDist(src int, row []float64) {
+	prev := o.prev[src*o.nn : (src+1)*o.nn]
+	links := o.net.Links
+	for v := range row {
+		row[v] = -1 // not yet resolved; real distances are ≥ 0
+	}
+	row[o.net.CityNode(src)] = 0
+	var stack []int32
+	for v := range row {
+		// Climb to the nearest resolved ancestor, then resolve the climbed
+		// nodes top-down.
+		at := int32(v)
+		for row[at] < 0 {
+			if prev[at] < 0 {
+				row[at] = math.Inf(1) // unreached
+				break
+			}
+			stack = append(stack, at)
+			l := links[prev[at]]
+			at = l.A + l.B - at
+		}
+		for len(stack) > 0 {
+			w := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			l := links[prev[w]]
+			row[w] = row[l.A+l.B-w] + l.OneWayMs
+		}
+	}
+}
+
 // selectLandmarks picks k landmark cities by farthest-point (maxmin)
-// selection over the already-computed label rows: start from city 0 (the
+// selection over the city distance matrix: start from city 0 (the
 // most populous — a natural ground hub), then repeatedly add the city
 // maximizing its minimum distance to the chosen set. Disconnected cities
 // (infinite distance to every chosen landmark) are skipped — a landmark that
@@ -167,7 +212,7 @@ func selectLandmarks(o *Oracle, k int) []int {
 	chosen = append(chosen, 0)
 	minDist := make([]float64, o.ncity)
 	for c := range minDist {
-		minDist[c] = o.cityDist(0, c)
+		minDist[c] = o.DistMs(0, c)
 	}
 	for len(chosen) < k {
 		best, bestD := -1, -1.0
@@ -185,18 +230,12 @@ func selectLandmarks(o *Oracle, k int) []int {
 		}
 		chosen = append(chosen, best)
 		for c := 0; c < o.ncity; c++ {
-			if d := o.cityDist(best, c); d < minDist[c] {
+			if d := o.DistMs(best, c); d < minDist[c] {
 				minDist[c] = d
 			}
 		}
 	}
 	return chosen
-}
-
-// cityDist reads the labelled distance from city src's tree to city dst's
-// node.
-func (o *Oracle) cityDist(src, dst int) float64 {
-	return o.dist[src*o.nn+int(o.net.CityNode(dst))]
 }
 
 // Valid reports whether the oracle still describes n: the same network
@@ -215,7 +254,7 @@ func (o *Oracle) Stats() Stats {
 		Landmarks:     len(o.landmarks),
 		Nodes:         o.nn,
 		BuildDuration: o.buildTime,
-		Bytes:         int64(len(o.dist))*8 + int64(len(o.prev))*4,
+		Bytes:         int64(len(o.cityDist)+len(o.landDist))*8 + int64(len(o.prev))*4,
 	}
 }
 
@@ -229,7 +268,7 @@ func (o *Oracle) Landmarks() []int { return append([]int(nil), o.landmarks...) }
 // in milliseconds, +Inf when the pair is disconnected at this snapshot. It
 // is a single array read.
 func (o *Oracle) DistMs(srcCity, dstCity int) float64 {
-	return o.cityDist(srcCity, dstCity)
+	return o.cityDist[srcCity*o.ncity+dstCity]
 }
 
 // Query returns the exact shortest path between two cities, reconstructed
@@ -242,7 +281,7 @@ func (o *Oracle) Query(srcCity, dstCity int) (graph.Path, bool) {
 	defer sp.End()
 	src := o.net.CityNode(srcCity)
 	dst := o.net.CityNode(dstCity)
-	total := o.dist[srcCity*o.nn+int(dst)]
+	total := o.DistMs(srcCity, dstCity)
 	if math.IsInf(total, 1) {
 		return graph.Path{}, false
 	}
@@ -261,8 +300,8 @@ func (o *Oracle) Bound(u, v int32) float64 {
 		return 0
 	}
 	bound := 0.0
-	for _, lc := range o.landmarks {
-		row := o.dist[lc*o.nn : (lc+1)*o.nn]
+	for k := range o.landmarks {
+		row := o.landDist[k*o.nn : (k+1)*o.nn]
 		du, dv := row[u], row[v]
 		uInf, vInf := math.IsInf(du, 1), math.IsInf(dv, 1)
 		if uInf != vInf {
@@ -316,8 +355,7 @@ func (o *Oracle) PathBetween(src, dst int32) (graph.Path, bool) {
 			break
 		}
 		for _, e := range n.Edges(it.node) {
-			w := n.Links[e.Link].OneWayMs
-			nd := dist[it.node] + w
+			nd := dist[it.node] + e.W
 			if nd >= dist[e.To] {
 				continue
 			}

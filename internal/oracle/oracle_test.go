@@ -213,6 +213,28 @@ func TestLandmarkBoundAdmissible(t *testing.T) {
 	}
 }
 
+// TestLandmarkRowsMatchKernel pins the landmark distance rows, which Build
+// recomputes from the stored predecessor trees instead of keeping every
+// tree's distances: each must equal the kernel's tree bit for bit, +Inf at
+// unreached nodes included.
+func TestLandmarkRowsMatchKernel(t *testing.T) {
+	sim := motifSim(t, topo.PlusGrid, core.TinyScale(), "tiny")
+	for _, mode := range []core.Mode{core.BP, core.Hybrid} {
+		n := buildNet(t, sim, mode, "sat:0.2:3")
+		o := buildOracle(t, n, 6)
+		for k, lc := range o.landmarks {
+			st := kernelTree(n, lc)
+			row := o.landDist[k*o.nn : (k+1)*o.nn]
+			for v := range row {
+				if want := st.Dist(int32(v)); row[v] != want {
+					t.Fatalf("mode %v landmark %d node %d: row %v, kernel %v", mode, lc, v, row[v], want)
+				}
+			}
+			st.Release()
+		}
+	}
+}
+
 // TestLabelSymmetry property-tests the undirected graph invariant: the
 // delay labelled src→dst equals dst→src (to float-accumulation-order
 // tolerance — the two trees sum the same path in opposite directions).

@@ -5,7 +5,8 @@
 #
 # Targets:
 #   routing   — the routing hot path (Dijkstra, ShortestPath, KDisjointPaths,
-#               Yen, MinMaxUtilization, the Fig 2a sweep) → BENCH_routing.json
+#               Yen, MinMaxUtilization, the Fig 2a sweep, and one full search
+#               tree on a reduced-scale bp/hybrid snapshot) → BENCH_routing.json
 #   snapshot  — the snapshot engine at paper scale: one full At() rebuild vs
 #               one incremental Advance() step at 1-second resolution
 #               → BENCH_snapshot.json
@@ -36,7 +37,7 @@ TARGET="${1:-all}"
 LABEL="${2:-current}"
 
 run_routing() {
-	PATTERN='^(BenchmarkDijkstra|BenchmarkShortestPath|BenchmarkKDisjoint|BenchmarkYen|BenchmarkMinMaxUtilization|BenchmarkFig2aMinRTT)$'
+	PATTERN='^(BenchmarkDijkstra|BenchmarkShortestPath|BenchmarkKDisjoint|BenchmarkYen|BenchmarkMinMaxUtilization|BenchmarkFig2aMinRTT|BenchmarkSearchSnapshot)$'
 	go test -run '^$' -bench "$PATTERN" -benchmem -count 1 \
 		. ./internal/graph ./internal/routing |
 		go run ./scripts/benchjson -label "$LABEL" -out BENCH_routing.json
