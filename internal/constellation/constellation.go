@@ -2,12 +2,11 @@ package constellation
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"leosim/internal/geo"
 	"leosim/internal/orbit"
+	"leosim/internal/safe"
 )
 
 // Constellation is one or more orbital shells with per-satellite propagators
@@ -184,7 +183,7 @@ func (c *Constellation) PositionsECEFInto(t time.Time, dst []geo.Vec3) []geo.Vec
 	if c.batch != nil {
 		// All-Kepler fleets take the batched propagator: per-plane rotation
 		// matrices and hoisted secular rates, same bits, ~half the work.
-		parallelRanges(len(c.Sats), func(lo, hi int) {
+		safe.Chunks(len(c.Sats), func(lo, hi int) {
 			c.batch.PositionsECEFRange(t, lo, hi, dst)
 		})
 		return dst
@@ -192,39 +191,12 @@ func (c *Constellation) PositionsECEFInto(t time.Time, dst []geo.Vec3) []geo.Vec
 	// Rotate once: compute ECI in parallel, then apply the shared GMST
 	// rotation, rather than recomputing GMST per satellite.
 	theta := -geo.GMST(t)
-	parallelFor(len(c.Sats), func(i int) {
-		dst[i] = geo.RotateZ(c.Sats[i].Prop.PositionECI(t), theta)
+	safe.Chunks(len(c.Sats), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			dst[i] = geo.RotateZ(c.Sats[i].Prop.PositionECI(t), theta)
+		}
 	})
 	return dst
-}
-
-// parallelRanges splits [0,n) into GOMAXPROCS contiguous chunks run
-// concurrently, falling back to one inline call on single-core hosts (no
-// goroutine spawn on the per-step advance path).
-func parallelRanges(n int, fn func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers <= 1 || n < 64 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // Snapshot bundles satellite positions at one instant.

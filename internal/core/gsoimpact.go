@@ -54,21 +54,18 @@ func RunGSOImpact(ctx context.Context, s *Sim) (res *GSOImpactResult, err error)
 	// Restrict to pairs reachable unconstrained under BOTH modes so the
 	// two unreachability fractions share a denominator (and the hybrid ⊇
 	// BP graph containment makes them comparable).
-	freeRTT := map[Mode]map[int]float64{BP: {}, Hybrid: {}}
+	freeRTT := map[Mode][]float64{}
 	for _, mode := range []Mode{BP, Hybrid} {
-		free := s.NetworkAt(t, mode)
-		for pi, p := range eqPairs {
-			if pf, ok := free.ShortestPath(free.CityNode(p.Src), free.CityNode(p.Dst)); ok {
-				freeRTT[mode][pi] = pf.RTTMs()
-			}
+		if freeRTT[mode], err = pairRTTs(ctx, s.NetworkAt(t, mode), eqPairs); err != nil {
+			return nil, err
 		}
 	}
 	var eligible []int
+	var eligPairs []Pair
 	for pi := range eqPairs {
-		if _, a := freeRTT[BP][pi]; a {
-			if _, b := freeRTT[Hybrid][pi]; b {
-				eligible = append(eligible, pi)
-			}
+		if !math.IsInf(freeRTT[BP][pi], 1) && !math.IsInf(freeRTT[Hybrid][pi], 1) {
+			eligible = append(eligible, pi)
+			eligPairs = append(eligPairs, eqPairs[pi])
 		}
 	}
 	if len(eligible) == 0 {
@@ -80,17 +77,18 @@ func RunGSOImpact(ctx context.Context, s *Sim) (res *GSOImpactResult, err error)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		gso := constrained.NetworkAt(t, mode)
+		gsoRTT, err := pairRTTs(ctx, constrained.NetworkAt(t, mode), eligPairs)
+		if err != nil {
+			return nil, err
+		}
 		var inflations []float64
 		unreachable := 0
-		for _, pi := range eligible {
-			p := eqPairs[pi]
-			pg, ok := gso.ShortestPath(gso.CityNode(p.Src), gso.CityNode(p.Dst))
-			if !ok {
+		for ei, pi := range eligible {
+			if math.IsInf(gsoRTT[ei], 1) {
 				unreachable++
 				continue
 			}
-			inflations = append(inflations, pg.RTTMs()-freeRTT[mode][pi])
+			inflations = append(inflations, gsoRTT[ei]-freeRTT[mode][pi])
 		}
 		unFrac := float64(unreachable) / float64(len(eligible))
 		med := stats.Percentile(inflations, 50)

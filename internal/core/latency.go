@@ -113,8 +113,8 @@ func RunLatency(ctx context.Context, s *Sim) (res *LatencyResult, err error) {
 		// snapshot ahead of the other's.
 		snap := map[Mode][]float64{}
 		for _, m := range []Mode{BP, Hybrid} {
-			n := walk[m].At(t)
-			rtts, rerr := s.pairRTTs(sctx, n, false)
+			n := walk[m].At(sctx, t)
+			rtts, rerr := pairRTTs(sctx, n, s.Pairs)
 			if rerr != nil {
 				if ctx.Err() != nil && done > 0 {
 					snap = nil

@@ -83,7 +83,6 @@ func RunChurn(ctx context.Context, s *Sim, opt ChurnOptions) (res *ChurnResult, 
 	if steps < 1 {
 		return nil, fmt.Errorf("core: churn window %v shorter than step %v", opt.Window, opt.Step)
 	}
-	nPairs := len(s.Pairs)
 	res = &ChurnResult{
 		Start: opt.Start, Step: opt.Step, Window: opt.Window,
 		Steps: steps, Modes: map[Mode]ChurnModeStats{},
@@ -93,22 +92,9 @@ func RunChurn(ctx context.Context, s *Sim, opt ChurnOptions) (res *ChurnResult, 
 	prog := telemetry.NewProgress(Progress, "churn", 2*(steps+1))
 	defer prog.Finish()
 	for _, mode := range []Mode{BP, Hybrid} {
-		w := s.NewWalker(mode)
-		prevSig := make([]uint64, nPairs)
-		prevUp := make([]int32, nPairs)
-		prevDown := make([]int32, nPairs)
-		routeChanges, upChanges, downChanges := 0, 0, 0
-		valid := make([]bool, nPairs)
-		for i := range valid {
-			valid[i] = true
-		}
 		var appeared, vanished int
-		for si := 0; si <= steps; si++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			n := w.At(opt.Start.Add(time.Duration(si) * opt.Step))
-			if d := w.LastDelta(); d != nil {
+		c, err := walkChurn(ctx, s.NewWalker(mode), s.Pairs, opt.Start, opt.Step, steps, func(d *graph.Delta) {
+			if d != nil {
 				if d.FullRebuild {
 					res.FullRebuilds++
 				} else if mode == BP {
@@ -116,47 +102,20 @@ func RunChurn(ctx context.Context, s *Sim, opt ChurnOptions) (res *ChurnResult, 
 					vanished += len(d.Removed)
 				}
 			}
-			for pi, pair := range s.Pairs {
-				if !valid[pi] {
-					continue
-				}
-				p, ok := n.ShortestPath(n.CityNode(pair.Src), n.CityNode(pair.Dst))
-				if !ok || len(p.Nodes) < 3 {
-					valid[pi] = false
-					continue
-				}
-				sig := pathSignature(p)
-				up, down := p.Nodes[1], p.Nodes[len(p.Nodes)-2]
-				if si > 0 {
-					if sig != prevSig[pi] {
-						routeChanges++
-					}
-					if up != prevUp[pi] {
-						upChanges++
-					}
-					if down != prevDown[pi] {
-						downChanges++
-					}
-				}
-				prevSig[pi], prevUp[pi], prevDown[pi] = sig, up, down
-			}
 			prog.Step(1)
+		})
+		if err != nil {
+			return nil, err
 		}
-		used := 0
-		for _, v := range valid {
-			if v {
-				used++
-			}
-		}
-		if used == 0 {
+		if c.used == 0 {
 			return nil, fmt.Errorf("core: no pair reachable across the churn window under %s", mode)
 		}
-		norm := float64(used) * float64(steps)
+		norm := float64(c.used) * float64(steps)
 		res.Modes[mode] = ChurnModeStats{
-			PairsUsed:               used,
-			RouteChangesPerMin:      float64(routeChanges) / norm * perMin,
-			UplinkHandoversPerMin:   float64(upChanges) / norm * perMin,
-			DownlinkHandoversPerMin: float64(downChanges) / norm * perMin,
+			PairsUsed:               c.used,
+			RouteChangesPerMin:      float64(c.routes) / norm * perMin,
+			UplinkHandoversPerMin:   float64(c.ups) / norm * perMin,
+			DownlinkHandoversPerMin: float64(c.downs) / norm * perMin,
 		}
 		if mode == BP {
 			res.GSLAppearPerStep = float64(appeared) / float64(steps)
@@ -164,6 +123,74 @@ func RunChurn(ctx context.Context, s *Sim, opt ChurnOptions) (res *ChurnResult, 
 		}
 	}
 	return res, nil
+}
+
+// churnCounts is one walk's route-stability tally: the pairs routable at
+// every instant, and the route, uplink and downlink changes between
+// consecutive instants.
+type churnCounts struct {
+	used, routes, ups, downs int
+}
+
+// walkChurn steps w through steps+1 instants start, start+step, … and
+// routes every pair at each, one early-stopping tree per source. A pair
+// whose route is missing or shorter than three nodes (no satellite between
+// its cities) is dropped for the rest of the walk; the changes it showed
+// before still count, but it does not count as used. onStep sees every
+// instant's delta (nil at the anchoring build) before the pairs are routed.
+// Changes are tallied serially in pair order, so the counts are
+// deterministic however the routing fans out.
+func walkChurn(ctx context.Context, w *Walker, pairs []Pair, start time.Time, step time.Duration,
+	steps int, onStep func(*graph.Delta)) (churnCounts, error) {
+	var c churnCounts
+	prevSig := make([]uint64, len(pairs))
+	prevUp := make([]int32, len(pairs))
+	prevDown := make([]int32, len(pairs))
+	valid := make([]bool, len(pairs))
+	for i := range valid {
+		valid[i] = true
+	}
+	keep := func(pi int) bool { return valid[pi] }
+	for si := 0; si <= steps; si++ {
+		if err := ctx.Err(); err != nil {
+			return c, err
+		}
+		n := w.At(ctx, start.Add(time.Duration(si)*step))
+		onStep(w.LastDelta())
+		paths, err := pairPaths(ctx, n, pairs, keep)
+		if err != nil {
+			return c, err
+		}
+		for pi, p := range paths {
+			if !valid[pi] {
+				continue
+			}
+			if len(p.Nodes) < 3 {
+				valid[pi] = false
+				continue
+			}
+			sig := pathSignature(p)
+			up, down := p.Nodes[1], p.Nodes[len(p.Nodes)-2]
+			if si > 0 {
+				if sig != prevSig[pi] {
+					c.routes++
+				}
+				if up != prevUp[pi] {
+					c.ups++
+				}
+				if down != prevDown[pi] {
+					c.downs++
+				}
+			}
+			prevSig[pi], prevUp[pi], prevDown[pi] = sig, up, down
+		}
+	}
+	for _, v := range valid {
+		if v {
+			c.used++
+		}
+	}
+	return c, nil
 }
 
 // pathSignature hashes a path's full node sequence (FNV-1a). Node indices

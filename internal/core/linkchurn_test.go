@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"leosim/internal/telemetry"
 )
 
 func TestRunChurnDeterministic(t *testing.T) {
@@ -66,5 +68,25 @@ func TestRunChurnValidation(t *testing.T) {
 	cancel()
 	if _, err := RunChurn(ctx, s, ChurnOptions{}); err != context.Canceled {
 		t.Fatalf("cancelled churn returned %v", err)
+	}
+}
+
+// Under a run recorder, churn attributes its wall time to the advance and
+// search stages: one advance span per instant and mode, one search fan-out
+// per instant and mode.
+func TestRunChurnStageTimes(t *testing.T) {
+	s := getTinySim(t)
+	telemetry.Enable()
+	defer telemetry.Disable()
+	rec := telemetry.NewRecorder()
+	ctx := telemetry.WithRecorder(context.Background(), rec)
+	if _, err := RunChurn(ctx, s, ChurnOptions{Step: 2 * time.Second, Window: 10 * time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	const spans = 2 * (5 + 1)
+	for _, stage := range []telemetry.Stage{telemetry.StageAdvance, telemetry.StageSearch} {
+		if rec.Count(stage) != spans || rec.Total(stage) <= 0 {
+			t.Errorf("%s: %d spans totalling %v, want %d and > 0", stage, rec.Count(stage), rec.Total(stage), spans)
+		}
 	}
 }

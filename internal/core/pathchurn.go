@@ -48,19 +48,24 @@ func RunPathChurn(ctx context.Context, s *Sim) (res *PathChurnResult, err error)
 	// One incremental time cursor per mode: the sweep visits snapshots in
 	// order, so each step is a cheap delta rather than a rebuild. Paths are
 	// signature-extracted before the next At mutates the network in place.
+	// A pair one mode cannot route is dropped before the next mode routes.
 	walk := map[Mode]*Walker{BP: s.NewWalker(BP), Hybrid: s.NewWalker(Hybrid)}
+	keep := func(pi int) bool { return valid[pi] }
 	for si, t := range times {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		for _, mode := range []Mode{BP, Hybrid} {
-			n := walk[mode].At(t)
-			for pi, pair := range s.Pairs {
+			n := walk[mode].At(ctx, t)
+			paths, err := pairPaths(ctx, n, s.Pairs, keep)
+			if err != nil {
+				return nil, err
+			}
+			for pi, p := range paths {
 				if !valid[pi] {
 					continue
 				}
-				p, ok := n.ShortestPath(n.CityNode(pair.Src), n.CityNode(pair.Dst))
-				if !ok {
+				if len(p.Nodes) == 0 {
 					valid[pi] = false
 					continue
 				}

@@ -84,9 +84,9 @@ func (s *Sim) PathAt(ctx context.Context, n *graph.Network, src, dst int) (*Path
 	st := graph.AcquireSearch()
 	defer st.Release()
 	spec := graph.SearchSpec{
-		Src:    n.CityNode(src),
-		Target: n.CityNode(dst),
-		Stop:   func() bool { return ctx.Err() != nil },
+		Src:     n.CityNode(src),
+		Targets: []int32{n.CityNode(dst)},
+		Stop:    func() bool { return ctx.Err() != nil },
 	}
 	if !n.Search(st, spec) {
 		return nil, ctx.Err()
@@ -183,9 +183,8 @@ func (s *Sim) ReachabilityAt(ctx context.Context, n *graph.Network, src int) (*R
 	st := graph.AcquireSearch()
 	defer st.Release()
 	done := n.Search(st, graph.SearchSpec{
-		Src:    n.CityNode(src),
-		Target: graph.NoTarget,
-		Stop:   func() bool { return ctx.Err() != nil },
+		Src:  n.CityNode(src),
+		Stop: func() bool { return ctx.Err() != nil },
 	})
 	if !done {
 		return nil, ctx.Err()

@@ -357,7 +357,7 @@ func (s *Sim) evalFaulted(ctx context.Context, mode Mode, outages *fault.Outages
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		n := w.At(t)
+		n := w.At(ctx, t)
 		// The walker mutates its network in place on the next step, so the
 		// first snapshot's throughput model must run before advancing — it
 		// can no longer be deferred past the loop.
@@ -368,7 +368,7 @@ func (s *Sim) evalFaulted(ctx context.Context, mode Mode, outages *fault.Outages
 			}
 			ev.tput = tp.AggregateGbps
 		}
-		rtts, err := s.pairRTTs(ctx, n, false)
+		rtts, err := pairRTTs(ctx, n, s.Pairs)
 		if err != nil {
 			return nil, err
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -12,9 +11,7 @@ import (
 	"leosim/internal/geo"
 	"leosim/internal/graph"
 	"leosim/internal/ground"
-	"leosim/internal/safe"
 	"leosim/internal/snapcache"
-	"leosim/internal/telemetry"
 	"leosim/internal/topo"
 )
 
@@ -315,55 +312,75 @@ func (s *Sim) WithISLCapacity(gbps float64) error {
 	return nil
 }
 
-// pairRTTsTestHook, when non-nil, runs inside every pairRTTs worker. Tests
-// inject panics here to verify worker failures surface as errors.
+// pairRTTsTestHook, when non-nil, runs once per source tree inside every
+// pairRTTs worker. Tests inject panics here to verify worker failures
+// surface as errors.
 var pairRTTsTestHook func(src int)
 
-// pairRTTs computes, for one snapshot network, the round-trip time in ms for
-// every pair (indexed like s.Pairs). Unreachable pairs get +Inf. noGround
-// restricts transit to satellites (used by the §6 "pure ISL path" model).
+// pairTrees routes the pairs that keep admits (nil admits all) over
+// snapshot n with one shortest-path tree per distinct source, each stopping
+// once its last destination is settled (graph.Network.Trees). expand
+// restricts transit as in graph.SearchSpec. visit receives a source's pair
+// indices, ascending, with the search state holding that source's tree; it
+// runs concurrently across sources and must only write per-pair slots —
+// anything order-dependent is aggregated by the caller afterwards.
+func pairTrees(ctx context.Context, n *graph.Network, pairs []Pair, keep func(pi int) bool,
+	expand func(int32) bool, visit func(pis []int, st *graph.SearchState) error) error {
+	var jobs []graph.TreeJob
+	var members [][]int
+	jobOf := map[int]int{}
+	for pi, p := range pairs {
+		if keep != nil && !keep(pi) {
+			continue
+		}
+		j, ok := jobOf[p.Src]
+		if !ok {
+			j = len(jobs)
+			jobOf[p.Src] = j
+			jobs = append(jobs, graph.TreeJob{Src: n.CityNode(p.Src)})
+			members = append(members, nil)
+		}
+		jobs[j].Targets = append(jobs[j].Targets, n.CityNode(p.Dst))
+		members[j] = append(members[j], pi)
+	}
+	return n.Trees(ctx, jobs, expand, func(j int, st *graph.SearchState) error {
+		return visit(members[j], st)
+	})
+}
+
+// pairRTTs computes, for one snapshot network, the round-trip time in ms
+// of every pair (indexed like pairs); unreachable pairs get +Inf.
 // Cancellation of ctx stops the fan-out between sources and returns the
 // context's error; a worker panic comes back as a *safe.PanicError.
-func (s *Sim) pairRTTs(ctx context.Context, n *graph.Network, noGroundTransit bool) ([]float64, error) {
-	// Recorder-only span: the per-search kernel time already feeds the
-	// registry histogram from graph.Search; this attributes the whole
-	// fan-out's wall time to the run.
-	defer telemetry.RecordSpan(ctx, telemetry.StageSearch).End()
-	bySrc := map[int][]int{}
-	for pi, p := range s.Pairs {
-		bySrc[p.Src] = append(bySrc[p.Src], pi)
-	}
-	sources := make([]int, 0, len(bySrc))
-	for src := range bySrc {
-		sources = append(sources, src)
-	}
-	out := make([]float64, len(s.Pairs))
-	g := safe.NewGroup(ctx, runtime.GOMAXPROCS(0))
-	for _, src := range sources {
-		src := src
-		g.Go(func() error {
-			if pairRTTsTestHook != nil {
-				pairRTTsTestHook(src)
-			}
-			// Pooled scratch state: the whole search runs allocation-free
-			// and distances are read back without materializing slices.
-			st := graph.AcquireSearch()
-			defer st.Release()
-			spec := graph.SearchSpec{Src: n.CityNode(src), Target: graph.NoTarget}
-			if noGroundTransit {
-				spec.Expand = func(v int32) bool { return !n.IsGroundSide(v) }
-			}
-			n.Search(st, spec)
-			for _, pi := range bySrc[src] {
-				out[pi] = 2 * st.Dist(n.CityNode(s.Pairs[pi].Dst))
-			}
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
+func pairRTTs(ctx context.Context, n *graph.Network, pairs []Pair) ([]float64, error) {
+	out := make([]float64, len(pairs))
+	err := pairTrees(ctx, n, pairs, nil, nil, func(pis []int, st *graph.SearchState) error {
+		if pairRTTsTestHook != nil {
+			pairRTTsTestHook(pairs[pis[0]].Src)
+		}
+		for _, pi := range pis {
+			out[pi] = 2 * st.Dist(n.CityNode(pairs[pi].Dst))
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// pairPaths returns the shortest path over n of every pair keep admits (nil
+// admits all), indexed like pairs; unreachable and unadmitted pairs get the
+// zero Path.
+func pairPaths(ctx context.Context, n *graph.Network, pairs []Pair, keep func(pi int) bool) ([]graph.Path, error) {
+	out := make([]graph.Path, len(pairs))
+	err := pairTrees(ctx, n, pairs, keep, nil, func(pis []int, st *graph.SearchState) error {
+		for _, pi := range pis {
+			out[pi], _ = st.Path(n.CityNode(pairs[pi].Dst))
+		}
+		return nil
+	})
+	return out, err
 }
 
 // String summarizes the sim.

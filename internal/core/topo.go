@@ -246,7 +246,7 @@ func (s *Sim) topoEval(ctx context.Context, mc *constellation.Constellation, mod
 		}
 		refresh(t)
 		n := b.At(t)
-		rr, err := s.pairRTTs(ctx, n, false)
+		rr, err := pairRTTs(ctx, n, s.Pairs)
 		if err != nil {
 			return cell, err
 		}
@@ -294,7 +294,7 @@ func (s *Sim) topoEval(ctx context.Context, mc *constellation.Constellation, mod
 		return cell, err
 	}
 	fn := fb.At(geo.Epoch)
-	frr, err := s.pairRTTs(ctx, fn, false)
+	frr, err := pairRTTs(ctx, fn, s.Pairs)
 	if err != nil {
 		return cell, err
 	}
@@ -322,46 +322,17 @@ func (s *Sim) topoEval(ctx context.Context, mc *constellation.Constellation, mod
 	// epoch: laser re-pointing is snapshot-scale, and the advancer's
 	// frozen ISL substrate requires it.
 	steps := int(opt.ChurnWindow / opt.ChurnStep)
-	w := &Walker{b: b}
-	prevSig := make([]uint64, len(s.Pairs))
-	valid := make([]bool, len(s.Pairs))
-	for i := range valid {
-		valid[i] = true
-	}
-	routeChanges := 0
-	for si := 0; si <= steps; si++ {
-		if err := ctx.Err(); err != nil {
-			return cell, err
-		}
-		n := w.At(geo.Epoch.Add(time.Duration(si) * opt.ChurnStep))
-		if d := w.LastDelta(); d != nil && d.FullRebuild {
+	c, err := walkChurn(ctx, &Walker{b: b}, s.Pairs, geo.Epoch, opt.ChurnStep, steps, func(d *graph.Delta) {
+		if d != nil && d.FullRebuild {
 			cell.FullRebuilds++
 		}
-		for pi, pair := range s.Pairs {
-			if !valid[pi] {
-				continue
-			}
-			p, ok := n.ShortestPath(n.CityNode(pair.Src), n.CityNode(pair.Dst))
-			if !ok || len(p.Nodes) < 3 {
-				valid[pi] = false
-				continue
-			}
-			sig := pathSignature(p)
-			if si > 0 && sig != prevSig[pi] {
-				routeChanges++
-			}
-			prevSig[pi] = sig
-		}
+	})
+	if err != nil {
+		return cell, err
 	}
-	used := 0
-	for _, v := range valid {
-		if v {
-			used++
-		}
-	}
-	if used > 0 && steps > 0 {
+	if c.used > 0 && steps > 0 {
 		perMin := float64(time.Minute) / float64(opt.ChurnStep)
-		cell.RouteChangesPerMin = float64(routeChanges) / (float64(used) * float64(steps)) * perMin
+		cell.RouteChangesPerMin = float64(c.routes) / (float64(c.used) * float64(steps)) * perMin
 	}
 	return cell, nil
 }

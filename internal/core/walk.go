@@ -53,8 +53,10 @@ func (s *Sim) NewFaultedWalker(mode Mode, outages *fault.Outages) (*Walker, erro
 // At positions the cursor at t and returns the network there. The first call
 // performs a full build; subsequent calls advance incrementally when t is
 // within graph.MaxAdvanceStep ahead of the cursor and fall back to a full
-// rebuild otherwise (recorded in the step's Delta).
-func (w *Walker) At(t time.Time) *graph.Network {
+// rebuild otherwise (recorded in the step's Delta). The step is one
+// StageAdvance span on ctx's recorder.
+func (w *Walker) At(ctx context.Context, t time.Time) *graph.Network {
+	defer telemetry.RecordSpan(ctx, telemetry.StageAdvance).End()
 	if w.adv == nil {
 		w.adv = w.b.NewAdvancer(t)
 		w.last = nil
@@ -88,7 +90,7 @@ func (s *Sim) Walk(ctx context.Context, mode Mode, times []time.Time, visit func
 			return err
 		}
 		_, endSnap := traceSnapshot(ctx, i)
-		err := visit(t, w.At(t))
+		err := visit(t, w.At(ctx, t))
 		endSnap()
 		if err != nil {
 			return err

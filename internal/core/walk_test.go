@@ -52,7 +52,7 @@ func TestWalkerMatchesFreshBuilds(t *testing.T) {
 		}
 		for _, tm := range times {
 			requireSameTopology(t, mode.String()+"@"+tm.Format("15:04:05"),
-				w.At(tm), fresh.At(tm))
+				w.At(context.Background(), tm), fresh.At(tm))
 		}
 		if d := w.LastDelta(); d == nil {
 			t.Fatal("no delta after the final step")
@@ -92,7 +92,7 @@ func TestFaultedWalkerMatchesBuildNetworkAt(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameTopology(t, "masked@"+tm.Format("15:04:05"), w.At(tm), want)
+		requireSameTopology(t, "masked@"+tm.Format("15:04:05"), w.At(context.Background(), tm), want)
 	}
 }
 
@@ -107,11 +107,11 @@ func TestWalkerLastDelta(t *testing.T) {
 	if st := w.Stats(); st != (graph.AdvanceStats{}) {
 		t.Fatalf("zero-value walker has stats %+v", st)
 	}
-	w.At(geo.Epoch)
+	w.At(context.Background(), geo.Epoch)
 	if w.LastDelta() != nil {
 		t.Fatal("LastDelta non-nil after the anchoring build")
 	}
-	w.At(geo.Epoch.Add(time.Second))
+	w.At(context.Background(), geo.Epoch.Add(time.Second))
 	d := w.LastDelta()
 	if d == nil || d.FullRebuild {
 		t.Fatalf("seconds-scale step: delta %+v, want incremental", d)
@@ -119,7 +119,7 @@ func TestWalkerLastDelta(t *testing.T) {
 	if d.From != geo.Epoch || d.To != geo.Epoch.Add(time.Second) {
 		t.Fatalf("delta bounds [%v, %v] don't match the step", d.From, d.To)
 	}
-	w.At(geo.Epoch) // backwards: must fall back, not corrupt
+	w.At(context.Background(), geo.Epoch) // backwards: must fall back, not corrupt
 	d = w.LastDelta()
 	if d == nil || !d.FullRebuild || d.Reason != "backwards-step" {
 		t.Fatalf("backwards step: delta %+v, want full rebuild", d)

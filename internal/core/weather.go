@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 
 	"leosim/internal/geo"
 	"leosim/internal/graph"
@@ -88,32 +87,14 @@ func weatherCurves(ctx context.Context, s *Sim, pairs []Pair, band Band) (bp, is
 		}
 		bpNet := s.NetworkAtCtx(ctx, t, BP)
 		hyNet := s.NetworkAtCtx(ctx, t, Hybrid)
-		// Recorder-only span over the per-snapshot curve fan-out; the
-		// per-curve cost feeds the registry histogram from itur.NewCurve.
+		// Recorder-only span over the per-snapshot fan-outs; the per-curve
+		// cost feeds the registry histogram from itur.NewCurve. Curves are
+		// computed in the workers, each appended to its own pair's slot.
 		sp := telemetry.RecordSpan(ctx, telemetry.StageWeather)
-		g := safe.NewGroup(ctx, runtime.GOMAXPROCS(0))
-		for pi := range pairs {
-			pi := pi
-			g.Go(func() error {
-				pair := pairs[pi]
-				if p, found := bpNet.ShortestPath(bpNet.CityNode(pair.Src), bpNet.CityNode(pair.Dst)); found {
-					c, cerr := pathCurve(bpNet, p, band)
-					if cerr != nil {
-						return cerr
-					}
-					bp[pi] = append(bp[pi], c) // pi is this worker's slot
-				}
-				if p, found := hyNet.ShortestPathSatTransit(hyNet.CityNode(pair.Src), hyNet.CityNode(pair.Dst)); found {
-					c, cerr := pathCurve(hyNet, p, band)
-					if cerr != nil {
-						return cerr
-					}
-					isl[pi] = append(isl[pi], c)
-				}
-				return nil
-			})
+		err := pairCurves(ctx, bpNet, pairs, nil, band, bp)
+		if err == nil {
+			err = pairCurves(ctx, hyNet, pairs, func(v int32) bool { return !hyNet.IsGroundSide(v) }, band, isl)
 		}
-		err := g.Wait()
 		sp.End()
 		if err != nil {
 			return nil, nil, err
@@ -121,6 +102,26 @@ func weatherCurves(ctx context.Context, s *Sim, pairs []Pair, band Band) (bp, is
 		prog.Step(1)
 	}
 	return bp, isl, nil
+}
+
+// pairCurves appends to out[pi] the attenuation curve of pair pi's shortest
+// path over n (transit restricted by expand), for every reachable pair.
+func pairCurves(ctx context.Context, n *graph.Network, pairs []Pair, expand func(int32) bool,
+	band Band, out [][]itur.Curve) error {
+	return pairTrees(ctx, n, pairs, nil, expand, func(pis []int, st *graph.SearchState) error {
+		for _, pi := range pis {
+			p, ok := st.Path(n.CityNode(pairs[pi].Dst))
+			if !ok {
+				continue
+			}
+			c, err := pathCurve(n, p, band)
+			if err != nil {
+				return err
+			}
+			out[pi] = append(out[pi], c)
+		}
+		return nil
+	})
 }
 
 // RunWeather runs the Fig 6 experiment at Ku band: for every pair, the

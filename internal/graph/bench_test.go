@@ -2,12 +2,8 @@ package graph
 
 import (
 	"testing"
-	"time"
 
-	"leosim/internal/aircraft"
-	"leosim/internal/constellation"
 	"leosim/internal/geo"
-	"leosim/internal/ground"
 	"leosim/internal/telemetry"
 )
 
@@ -115,7 +111,7 @@ func BenchmarkSearch(b *testing.B) {
 	n := benchGrid(80, 100)
 	st := AcquireSearch()
 	defer st.Release()
-	spec := SearchSpec{Src: 0, Target: NoTarget}
+	spec := SearchSpec{Src: 0}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -133,71 +129,12 @@ func BenchmarkSearchTelemetryEnabled(b *testing.B) {
 	n := benchGrid(80, 100)
 	st := AcquireSearch()
 	defer st.Release()
-	spec := SearchSpec{Src: 0, Target: NoTarget}
+	spec := SearchSpec{Src: 0}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if !n.Search(st, spec) {
 			b.Fatal("search stopped")
 		}
-	}
-}
-
-// snapshotBenchNet builds one reduced-scale snapshot: Starlink phase 1, the
-// 150 largest cities, 2.5° transit relays within 2000 km and an aircraft
-// density of 0.5 — the graph the paper sweeps and the oracle search. Unlike
-// benchGrid it has the GSL-heavy fan-out of the real workload: ~23 k ground
-// links against 3.2 k ISLs, about a dozen relaxations per settled node.
-func snapshotBenchNet(b *testing.B, isl bool) *Network {
-	b.Helper()
-	c, err := constellation.New([]constellation.Shell{constellation.StarlinkPhase1()},
-		constellation.WithISLs())
-	if err != nil {
-		b.Fatal(err)
-	}
-	cities, err := ground.Cities(150)
-	if err != nil {
-		b.Fatal(err)
-	}
-	seg, err := ground.NewSegment(cities, 2.5, 2000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fleet, err := aircraft.NewFleet(0.5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.ISL = isl
-	bld, err := NewBuilder(c, seg, fleet, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return bld.At(geo.Epoch.Add(6 * time.Hour))
-}
-
-// BenchmarkSearchSnapshot measures one full shortest-path tree per
-// operation on a reduced-scale snapshot, cycling the source over the city
-// terminals as oracle builds and per-source sweeps do: bp is the paper's
-// bent-pipe graph, hybrid adds the +Grid ISLs.
-func BenchmarkSearchSnapshot(b *testing.B) {
-	telemetry.Disable()
-	for _, mode := range []struct {
-		name string
-		isl  bool
-	}{{"bp", false}, {"hybrid", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			n := snapshotBenchNet(b, mode.isl)
-			st := AcquireSearch()
-			defer st.Release()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				src := n.CityNode(i % n.NumCity)
-				if !n.Search(st, SearchSpec{Src: src, Target: NoTarget}) {
-					b.Fatal("search stopped")
-				}
-			}
-		})
 	}
 }

@@ -17,6 +17,9 @@ import (
 // predecessor links, and extracted paths must be bit-identical, which pins
 // down the kernel's (dist, node) tie-break as well as its correctness.
 
+// noTarget makes naiveDijkstra settle every reachable node.
+const noTarget int32 = -1
+
 // naiveDijkstra mirrors the kernel's semantics with O(n²) linear scans:
 // settle the unsettled reached node with minimal (dist, node); a settled
 // non-source node forwards only if it is not banned and expand allows it;
@@ -131,7 +134,7 @@ func searchTree(n *Network, src int32, banned map[int32]bool, expand func(int32)
 			st.BanLink(li)
 		}
 	}
-	n.Search(st, SearchSpec{Src: src, Target: NoTarget, Expand: expand})
+	n.Search(st, SearchSpec{Src: src, Expand: expand})
 	return readTree(st, n)
 }
 
@@ -181,7 +184,7 @@ func TestDifferentialDijkstra(t *testing.T) {
 		banned := randomBans(r, n, 0.15)
 
 		dist, prev := searchTree(n, src, banned, nil)
-		wantDist, wantPrev := naiveDijkstra(n, src, NoTarget, banned, nil, nil, nil)
+		wantDist, wantPrev := naiveDijkstra(n, src, noTarget, banned, nil, nil, nil)
 		compareAll(t, n, dist, wantDist, prev, wantPrev, "banned")
 
 		// Same search through a reused state: stamping must fully isolate
@@ -191,7 +194,7 @@ func TestDifferentialDijkstra(t *testing.T) {
 			st.BanLink(li)
 		}
 		for rep := 0; rep < 3; rep++ {
-			n.Search(st, SearchSpec{Src: src, Target: NoTarget})
+			n.Search(st, SearchSpec{Src: src})
 			gotDist, gotPrev := readTree(st, n)
 			compareAll(t, n, gotDist, wantDist, gotPrev, wantPrev, "reused state")
 		}
@@ -207,7 +210,7 @@ func TestDifferentialExpand(t *testing.T) {
 		expand := func(v int32) bool { return !n.IsGroundSide(v) }
 
 		dist, prev := searchTree(n, src, nil, expand)
-		wantDist, wantPrev := naiveDijkstra(n, src, NoTarget, nil, nil, expand, nil)
+		wantDist, wantPrev := naiveDijkstra(n, src, noTarget, nil, nil, expand, nil)
 		compareAll(t, n, dist, wantDist, prev, wantPrev, "sat-transit")
 
 		// The restricted search must agree with ShortestPathSatTransit's
@@ -241,11 +244,11 @@ func TestDifferentialNodeBans(t *testing.T) {
 		for v := range bannedNodes {
 			st.BanNode(v)
 		}
-		n.Search(st, SearchSpec{Src: src, Target: NoTarget})
+		n.Search(st, SearchSpec{Src: src})
 		dist, prev := readTree(st, n)
 		st.Release()
 
-		wantDist, wantPrev := naiveDijkstra(n, src, NoTarget, nil, bannedNodes, nil, nil)
+		wantDist, wantPrev := naiveDijkstra(n, src, noTarget, nil, bannedNodes, nil, nil)
 		compareAll(t, n, dist, wantDist, prev, wantPrev, "node bans")
 	}
 }
@@ -309,9 +312,9 @@ func TestDifferentialCostHook(t *testing.T) {
 		}
 
 		st := AcquireSearch()
-		n.Search(st, SearchSpec{Src: src, Target: NoTarget, Cost: cost})
+		n.Search(st, SearchSpec{Src: src, Cost: cost})
 		dist, prev := readTree(st, n)
-		wantDist, wantPrev := naiveDijkstra(n, src, NoTarget, nil, nil, nil, cost)
+		wantDist, wantPrev := naiveDijkstra(n, src, noTarget, nil, nil, nil, cost)
 		compareAll(t, n, dist, wantDist, prev, wantPrev, "cost hook")
 
 		// Under a cost hook, Dist is accumulated cost but extracted paths
@@ -350,7 +353,7 @@ func TestSearchStatePoolConcurrent(t *testing.T) {
 	want := map[*Network][]ref{}
 	for _, n := range nets {
 		for src := int32(0); src < int32(n.N()); src++ {
-			d, p := naiveDijkstra(n, src, NoTarget, nil, nil, nil, nil)
+			d, p := naiveDijkstra(n, src, noTarget, nil, nil, nil, nil)
 			want[n] = append(want[n], ref{d, p})
 		}
 	}
@@ -366,7 +369,7 @@ func TestSearchStatePoolConcurrent(t *testing.T) {
 				n := nets[r.Intn(len(nets))]
 				src := int32(r.Intn(n.N()))
 				st := AcquireSearch()
-				n.Search(st, SearchSpec{Src: src, Target: NoTarget})
+				n.Search(st, SearchSpec{Src: src})
 				d, p := readTree(st, n)
 				st.Release()
 				rf := want[n][src]
@@ -396,7 +399,7 @@ func TestSearchStateReuseAcrossModes(t *testing.T) {
 
 	polls := 0
 	stop := func() bool { polls++; return polls > 1 } // abandon after stopPollInterval pops
-	if n.Search(st, SearchSpec{Src: 0, Target: NoTarget, Stop: stop}) {
+	if n.Search(st, SearchSpec{Src: 0, Stop: stop}) {
 		t.Fatal("search should have been abandoned at the second Stop poll")
 	}
 	if len(st.heap) == 0 {
@@ -408,7 +411,7 @@ func TestSearchStateReuseAcrossModes(t *testing.T) {
 	bannedNodes := map[int32]bool{int32(77): true}
 	st.BanNode(77)
 	for i := 0; i < 4; i++ {
-		n.Search(st, SearchSpec{Src: src, Target: dst})
+		n.Search(st, SearchSpec{Src: src, Targets: []int32{dst}})
 		dist, prev := readTree(st, n)
 		wantDist, wantPrev := naiveDijkstra(n, src, dst, banned, bannedNodes, nil, nil)
 		compareAll(t, n, dist, wantDist, prev, wantPrev, fmt.Sprintf("k-disjoint round %d", i))
@@ -427,9 +430,9 @@ func TestSearchStateReuseAcrossModes(t *testing.T) {
 		t.Fatal("ClearBans left bans in force")
 	}
 	for _, src := range []int32{src, 0, 1499} {
-		n.Search(st, SearchSpec{Src: src, Target: NoTarget})
+		n.Search(st, SearchSpec{Src: src})
 		dist, prev := readTree(st, n)
-		wantDist, wantPrev := naiveDijkstra(n, src, NoTarget, nil, nil, nil, nil)
+		wantDist, wantPrev := naiveDijkstra(n, src, noTarget, nil, nil, nil, nil)
 		compareAll(t, n, dist, wantDist, prev, wantPrev, fmt.Sprintf("plain search from %d", src))
 	}
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"leosim/internal/geo"
@@ -46,12 +47,14 @@ func fuzzNet(data []byte) *Network {
 // FuzzSearch holds the allocation-free search kernel to the naive O(V²)
 // reference on arbitrary decoded topologies: identical distances, identical
 // predecessor links (pinning the (dist, node) tie-break), and an extracted
-// path consistent with the distance label.
+// path consistent with the distance label. A multi-target search (targets
+// decoded from tgtB) must give every target the full tree's distance and
+// path, and settle no node after the last target.
 func FuzzSearch(f *testing.F) {
-	f.Add([]byte{10, 0xAA, 0, 1, 3, 1, 2, 7, 2, 3, 1, 0, 3, 9}, uint8(0), uint8(3), uint8(0))
-	f.Add([]byte{40, 0x0F, 5, 6, 2, 6, 7, 2, 7, 5, 2, 1, 2, 30}, uint8(5), uint8(7), uint8(3))
-	f.Add([]byte{2, 1, 0, 1, 15}, uint8(1), uint8(0), uint8(255))
-	f.Fuzz(func(t *testing.T, data []byte, srcB, dstB, banB uint8) {
+	f.Add([]byte{10, 0xAA, 0, 1, 3, 1, 2, 7, 2, 3, 1, 0, 3, 9}, uint8(0), uint8(3), uint8(0), []byte{3, 1, 3})
+	f.Add([]byte{40, 0x0F, 5, 6, 2, 6, 7, 2, 7, 5, 2, 1, 2, 30}, uint8(5), uint8(7), uint8(3), []byte{7, 41, 6, 5})
+	f.Add([]byte{2, 1, 0, 1, 15}, uint8(1), uint8(0), uint8(255), []byte{})
+	f.Fuzz(func(t *testing.T, data []byte, srcB, dstB, banB uint8, tgtB []byte) {
 		n := fuzzNet(data)
 		if n == nil || len(n.Links) == 0 {
 			t.Skip()
@@ -66,7 +69,7 @@ func FuzzSearch(f *testing.F) {
 		}
 
 		dist, prev := searchTree(n, src, banned, nil)
-		wantDist, wantPrev := naiveDijkstra(n, src, NoTarget, banned, nil, nil, nil)
+		wantDist, wantPrev := naiveDijkstra(n, src, noTarget, banned, nil, nil, nil)
 		for v := range dist {
 			if dist[v] != wantDist[v] || prev[v] != wantPrev[v] {
 				t.Fatalf("node %d: kernel (%v, %d) vs reference (%v, %d)",
@@ -74,10 +77,14 @@ func FuzzSearch(f *testing.F) {
 			}
 		}
 
+		if len(tgtB) > 0 {
+			checkTargets(t, n, src, tgtB, banned, wantDist, wantPrev)
+		}
+
 		// Sat-transit restriction against the reference with the same expand.
 		expand := func(v int32) bool { return !n.IsGroundSide(v) }
 		gotD, gotP := searchTree(n, src, nil, expand)
-		refD, refP := naiveDijkstra(n, src, NoTarget, nil, nil, expand, nil)
+		refD, refP := naiveDijkstra(n, src, noTarget, nil, nil, expand, nil)
 		for v := range gotD {
 			if gotD[v] != refD[v] || gotP[v] != refP[v] {
 				t.Fatalf("sat-transit node %d: kernel (%v, %d) vs reference (%v, %d)",
@@ -108,6 +115,57 @@ func FuzzSearch(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkTargets runs one search from src stopping at the targets decoded
+// from tgtB, under the banned links, and holds it to the full reference
+// tree (wantDist, wantPrev): each target's distance and path must match,
+// and when every target is reachable no node may settle after the last one
+// in (dist, node) order.
+func checkTargets(t *testing.T, n *Network, src int32, tgtB []byte, banned map[int32]bool,
+	wantDist []float64, wantPrev []int32) {
+	t.Helper()
+	targets := make([]int32, len(tgtB))
+	for i, b := range tgtB {
+		targets[i] = int32(int(b) % n.N())
+	}
+	st := AcquireSearch()
+	defer st.Release()
+	for li := range banned {
+		st.BanLink(li)
+	}
+	n.Search(st, SearchSpec{Src: src, Targets: targets})
+	last, allReached := int32(-1), true
+	for _, tg := range targets {
+		if st.Dist(tg) != wantDist[tg] {
+			t.Fatalf("target %d: dist %v, full tree %v", tg, st.Dist(tg), wantDist[tg])
+		}
+		got, gotOK := st.Path(tg)
+		want, wantOK := extractPath(n, src, tg, wantDist, wantPrev)
+		if gotOK != wantOK || !reflect.DeepEqual(got, want) {
+			t.Fatalf("target %d: path %+v (%v), full tree %+v (%v)", tg, got, gotOK, want, wantOK)
+		}
+		if !wantOK {
+			allReached = false
+		} else if last < 0 || settlesBefore(wantDist, last, tg) {
+			last = tg
+		}
+	}
+	if !allReached {
+		return
+	}
+	for v := int32(0); v < int32(n.N()); v++ {
+		popped := st.stamp[v] == st.searchStamp && st.hpos[v] < 0
+		if popped && settlesBefore(wantDist, last, v) {
+			t.Fatalf("node %d settled after the last target %d", v, last)
+		}
+	}
+}
+
+// settlesBefore reports whether a settles before b in the kernel's
+// (dist, node) order.
+func settlesBefore(dist []float64, a, b int32) bool {
+	return dist[a] < dist[b] || (dist[a] == dist[b] && a < b)
 }
 
 // FuzzBuildCSR checks the lazily built CSR adjacency against the flat link

@@ -7,12 +7,10 @@ package graph
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"leosim/internal/geo"
-	"leosim/internal/safe"
 	"leosim/internal/telemetry"
 )
 
@@ -339,7 +337,7 @@ func (p Path) Hops() int { return len(p.Links) }
 func (n *Network) ShortestPath(src, dst int32) (Path, bool) {
 	st := AcquireSearch()
 	defer st.Release()
-	n.Search(st, SearchSpec{Src: src, Target: dst})
+	n.Search(st, SearchSpec{Src: src, Targets: []int32{dst}})
 	return st.Path(dst)
 }
 
@@ -350,7 +348,7 @@ func (n *Network) ShortestPath(src, dst int32) (Path, bool) {
 func (n *Network) ShortestPathSatTransit(src, dst int32) (Path, bool) {
 	st := AcquireSearch()
 	defer st.Release()
-	n.Search(st, SearchSpec{Src: src, Target: dst, Expand: func(v int32) bool {
+	n.Search(st, SearchSpec{Src: src, Targets: []int32{dst}, Expand: func(v int32) bool {
 		return !n.IsGroundSide(v)
 	}})
 	return st.Path(dst)
@@ -367,7 +365,7 @@ func (n *Network) KDisjointPaths(src, dst int32, k int) []Path {
 	defer st.Release()
 	var out []Path
 	for i := 0; i < k; i++ {
-		n.Search(st, SearchSpec{Src: src, Target: dst})
+		n.Search(st, SearchSpec{Src: src, Targets: []int32{dst}})
 		p, ok := st.Path(dst)
 		if !ok {
 			break
@@ -380,25 +378,20 @@ func (n *Network) KDisjointPaths(src, dst int32, k int) []Path {
 	return out
 }
 
-// MultiSourceDistances runs Dijkstra from each source in parallel (bounded
-// by GOMAXPROCS, panic-safe via internal/safe) and returns dist[i] for
-// sources[i].
+// MultiSourceDistances returns dist[i], the distance from sources[i] to
+// every node, computed as one full tree per source through Trees.
 func (n *Network) MultiSourceDistances(sources []int32) [][]float64 {
-	n.ensureCSR() // freeze once, before the fan-out
-	out := make([][]float64, len(sources))
-	g := safe.NewGroup(context.Background(), runtime.GOMAXPROCS(0))
+	jobs := make([]TreeJob, len(sources))
 	for i, src := range sources {
-		i, src := i, src
-		g.Go(func() error {
-			st := AcquireSearch()
-			defer st.Release()
-			n.Search(st, SearchSpec{Src: src, Target: NoTarget})
-			out[i] = make([]float64, n.N())
-			st.ReadTree(out[i], nil)
-			return nil
-		})
+		jobs[i].Src = src
 	}
-	if err := g.Wait(); err != nil {
+	out := make([][]float64, len(sources))
+	err := n.Trees(context.Background(), jobs, nil, func(i int, st *SearchState) error {
+		out[i] = make([]float64, n.N())
+		st.ReadTree(out[i], nil)
+		return nil
+	})
+	if err != nil {
 		// Workers only fail by panicking; re-throw so callers' RecoverTo
 		// (or the test harness) sees the original stack.
 		panic(err)

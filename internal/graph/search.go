@@ -1,9 +1,13 @@
 package graph
 
 import (
+	"context"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
+	"leosim/internal/safe"
 	"leosim/internal/telemetry"
 )
 
@@ -30,6 +34,10 @@ type SearchState struct {
 	delay    []float64
 	prevLink []int32
 	stamp    []uint32
+	// tmark[v] == searchStamp marks v as a target of the current search;
+	// targets counts the marked targets not yet settled.
+	tmark   []uint32
+	targets int
 	// hpos[v] is v's slot in heap while v is queued and -1 once popped:
 	// a relaxation of a queued node sifts its entry up in place, so the
 	// heap never holds more than one entry per node.
@@ -76,6 +84,7 @@ func (st *SearchState) grow(nodes, links int) {
 		st.prevLink = append(st.prevLink, make([]int32, nodes-len(st.prevLink))...)
 		st.stamp = append(st.stamp, make([]uint32, nodes-len(st.stamp))...)
 		st.hpos = append(st.hpos, make([]int32, nodes-len(st.hpos))...)
+		st.tmark = append(st.tmark, make([]uint32, nodes-len(st.tmark))...)
 		st.nodeBan = append(st.nodeBan, make([]uint32, nodes-len(st.nodeBan))...)
 	}
 	if len(st.linkBan) < links {
@@ -93,10 +102,18 @@ func (st *SearchState) begin(n *Network, spec SearchSpec) {
 	if st.searchStamp == 0 { // wrapped: stale stamps could collide
 		for i := range st.stamp {
 			st.stamp[i] = 0
+			st.tmark[i] = 0
 		}
 		st.searchStamp = 1
 	}
 	st.heap = st.heap[:0]
+	st.targets = 0
+	for _, t := range spec.Targets {
+		if st.tmark[t] != st.searchStamp {
+			st.tmark[t] = st.searchStamp
+			st.targets++
+		}
+	}
 }
 
 // ClearBans forgets every banned link and node.
@@ -278,10 +295,11 @@ func (st *SearchState) hpop() heapEntry {
 type SearchSpec struct {
 	// Src is the source node.
 	Src int32
-	// Target stops the search as soon as that node is settled (its distance
-	// and predecessor are then final). Use NoTarget to settle every
-	// reachable node. Note the zero value targets node 0.
-	Target int32
+	// Targets, when non-nil, stops the search once every listed node is
+	// settled (distances and predecessors of settled nodes are final, so
+	// stopping early changes none of them); duplicates count once. A nil
+	// or empty slice settles every reachable node.
+	Targets []int32
 	// Expand, when non-nil, restricts forwarding: edges are only relaxed
 	// out of nodes for which Expand returns true (the source is always
 	// expanded). This implements transit restrictions — e.g. §6's "pure
@@ -305,9 +323,6 @@ type SearchSpec struct {
 // cancelled request dies within microseconds, rare enough that the hot
 // relax loop never notices the check.
 const stopPollInterval = 1024
-
-// NoTarget makes Search settle every reachable node.
-const NoTarget int32 = -1
 
 // Search runs Dijkstra from spec.Src over the network's CSR adjacency into
 // st, honouring st's link/node bans. It is the single kernel behind every
@@ -339,7 +354,7 @@ func (n *Network) Search(st *SearchState, spec SearchSpec) bool {
 	}
 	st.stamp[spec.Src] = ss
 	st.hpush(heapEntry{node: spec.Src})
-	bans := st.bans
+	bans, targeted := st.bans, st.targets > 0
 	pops := 0
 	for len(st.heap) > 0 {
 		if spec.Stop != nil && pops%stopPollInterval == 0 && spec.Stop() {
@@ -348,8 +363,11 @@ func (n *Network) Search(st *SearchState, spec SearchSpec) bool {
 		pops++
 		it := st.hpop()
 		u := it.node
-		if u == spec.Target {
-			break // settled: dist/prevLink for the target are final
+		if targeted && st.tmark[u] == ss {
+			st.tmark[u] = 0 // a re-popped target counts once
+			if st.targets--; st.targets == 0 {
+				break // every target settled: their labels are final
+			}
 		}
 		if u != spec.Src {
 			if bans && st.nodeBan[u] == st.banStamp {
@@ -394,6 +412,53 @@ func (n *Network) Search(st *SearchState, spec SearchSpec) bool {
 		}
 	}
 	return true
+}
+
+// TreeJob is one shortest-path tree for Trees: a search from Src that stops
+// once every node in Targets is settled (nil Targets settle every reachable
+// node).
+type TreeJob struct {
+	Src     int32
+	Targets []int32
+}
+
+// Trees is the pairs-to-paths primitive: it runs one search per job on
+// GOMAXPROCS workers, each holding one pooled SearchState, and calls visit
+// with the job's index and the state holding its settled tree. expand, when
+// non-nil, is every job's SearchSpec.Expand. visit runs concurrently for
+// different jobs and must only write per-job (or per-pair) slots; the state
+// is valid until visit returns.
+//
+// The CSR is frozen once before the fan-out, and the whole fan-out is one
+// StageSearch span on ctx's recorder. ctx is checked between jobs: a
+// cancelled fan-out returns ctx.Err(). The first visit error stops the
+// remaining jobs and is returned; a panic comes back as a *safe.PanicError.
+func (n *Network) Trees(ctx context.Context, jobs []TreeJob, expand func(int32) bool, visit func(job int, st *SearchState) error) error {
+	defer telemetry.RecordSpan(ctx, telemetry.StageSearch).End()
+	n.ensureCSR()
+	workers := min(runtime.GOMAXPROCS(0), len(jobs))
+	var next atomic.Int64
+	g := safe.NewGroup(ctx, workers)
+	for w := 0; w < workers; w++ {
+		g.Go(func() error {
+			st := AcquireSearch()
+			defer st.Release()
+			// However this worker ends, no job starts after it: on a
+			// clean exit the counter is already past the end.
+			defer next.Store(int64(len(jobs)))
+			for j := int(next.Add(1) - 1); j < len(jobs); j = int(next.Add(1) - 1) {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				n.Search(st, SearchSpec{Src: jobs[j].Src, Targets: jobs[j].Targets, Expand: expand})
+				if err := visit(j, st); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	return g.Wait()
 }
 
 // walkPath reconstructs the node/link sequence from dst back to src given a

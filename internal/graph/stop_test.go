@@ -26,7 +26,7 @@ func TestSearchStopImmediately(t *testing.T) {
 	n := lineNet(10)
 	st := AcquireSearch()
 	defer st.Release()
-	done := n.Search(st, SearchSpec{Src: 0, Target: NoTarget, Stop: func() bool { return true }})
+	done := n.Search(st, SearchSpec{Src: 0, Stop: func() bool { return true }})
 	if done {
 		t.Fatal("Search with always-true Stop should report incompletion")
 	}
@@ -38,13 +38,13 @@ func TestSearchStopNeverFiringIsTransparent(t *testing.T) {
 	n := lineNet(64)
 	ref := AcquireSearch()
 	defer ref.Release()
-	if !n.Search(ref, SearchSpec{Src: 0, Target: NoTarget}) {
+	if !n.Search(ref, SearchSpec{Src: 0}) {
 		t.Fatal("plain search should complete")
 	}
 	var polls atomic.Int64
 	st := AcquireSearch()
 	defer st.Release()
-	done := n.Search(st, SearchSpec{Src: 0, Target: NoTarget, Stop: func() bool {
+	done := n.Search(st, SearchSpec{Src: 0, Stop: func() bool {
 		polls.Add(1)
 		return false
 	}})
@@ -68,7 +68,7 @@ func TestSearchStopMidway(t *testing.T) {
 	var polls int
 	st := AcquireSearch()
 	defer st.Release()
-	done := n.Search(st, SearchSpec{Src: 0, Target: NoTarget, Stop: func() bool {
+	done := n.Search(st, SearchSpec{Src: 0, Stop: func() bool {
 		polls++
 		return polls > 1 // allow the first window, stop at the second poll
 	}})

@@ -71,7 +71,7 @@ func (n *Network) spurPath(st *SearchState, src, dst int32) (Path, bool) {
 	if st.NodeBanned(dst) {
 		return Path{}, false
 	}
-	n.Search(st, SearchSpec{Src: src, Target: dst})
+	n.Search(st, SearchSpec{Src: src, Targets: []int32{dst}})
 	return st.Path(dst)
 }
 

@@ -39,11 +39,9 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"leosim/internal/graph"
-	"leosim/internal/safe"
 	"leosim/internal/telemetry"
 )
 
@@ -57,8 +55,6 @@ type Options struct {
 	// Landmarks is the number of ALT landmarks selected from the city
 	// sites (default DefaultLandmarks, capped at the city count).
 	Landmarks int
-	// Parallelism bounds the build fan-out (default GOMAXPROCS).
-	Parallelism int
 }
 
 // Stats describes a built oracle.
@@ -100,8 +96,8 @@ type Oracle struct {
 	buildTime time.Duration
 }
 
-// Build constructs the oracle for n: one shortest-path tree per city, run in
-// parallel through the shared Dijkstra kernel, plus ALT landmark selection.
+// Build constructs the oracle for n: one full shortest-path tree per city,
+// run in parallel through graph.Network.Trees, plus ALT landmark selection.
 // The context cancels the fan-out between sources; a cancelled build returns
 // ctx.Err() and no oracle.
 func Build(ctx context.Context, n *graph.Network, opts Options) (*Oracle, error) {
@@ -113,10 +109,6 @@ func Build(ctx context.Context, n *graph.Network, opts Options) (*Oracle, error)
 	if ncity == 0 {
 		return nil, fmt.Errorf("oracle: network has no city terminals to label")
 	}
-	par := opts.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
 	o := &Oracle{
 		net:      n,
 		epoch:    n.Epoch(),
@@ -125,30 +117,19 @@ func Build(ctx context.Context, n *graph.Network, opts Options) (*Oracle, error)
 		prev:     make([]int32, ncity*nn),
 		cityDist: make([]float64, ncity*ncity),
 	}
-	// Freeze the CSR once before the fan-out (Degree forces it) so workers
-	// never contend on the freeze lock.
-	if nn > 0 {
-		n.Degree(0)
+	jobs := make([]graph.TreeJob, ncity)
+	for city := range jobs {
+		jobs[city].Src = n.CityNode(city)
 	}
-	g := safe.NewGroup(ctx, par)
-	for city := 0; city < ncity; city++ {
-		city := city
-		g.Go(func() error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			st := graph.AcquireSearch()
-			defer st.Release()
-			n.Search(st, graph.SearchSpec{Src: n.CityNode(city), Target: graph.NoTarget})
-			st.ReadTree(nil, o.prev[city*nn:(city+1)*nn])
-			row := o.cityDist[city*ncity : (city+1)*ncity]
-			for c := range row {
-				row[c] = st.Dist(n.CityNode(c))
-			}
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
+	err := n.Trees(ctx, jobs, nil, func(city int, st *graph.SearchState) error {
+		st.ReadTree(nil, o.prev[city*nn:(city+1)*nn])
+		row := o.cityDist[city*ncity : (city+1)*ncity]
+		for c := range row {
+			row[c] = st.Dist(n.CityNode(c))
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	o.landmarks = selectLandmarks(o, opts.Landmarks)

@@ -88,7 +88,7 @@ func buildOracle(t testing.TB, n *graph.Network, landmarks int) *Oracle {
 // computation the oracle's label row for src froze at build time.
 func kernelTree(n *graph.Network, src int) *graph.SearchState {
 	st := graph.AcquireSearch()
-	n.Search(st, graph.SearchSpec{Src: n.CityNode(src), Target: graph.NoTarget})
+	n.Search(st, graph.SearchSpec{Src: n.CityNode(src)})
 	return st
 }
 
@@ -197,7 +197,7 @@ func TestLandmarkBoundAdmissible(t *testing.T) {
 		v := int32(rng.Intn(n.N()))
 		bound := o.Bound(u, v)
 		st := graph.AcquireSearch()
-		n.Search(st, graph.SearchSpec{Src: u, Target: graph.NoTarget})
+		n.Search(st, graph.SearchSpec{Src: u})
 		if !st.Reached(v) {
 			st.Release()
 			continue // unreachable: any bound (including +Inf) is admissible
@@ -292,7 +292,7 @@ func TestPathBetweenMatchesKernel(t *testing.T) {
 			continue
 		}
 		st := graph.AcquireSearch()
-		n.Search(st, graph.SearchSpec{Src: u, Target: graph.NoTarget})
+		n.Search(st, graph.SearchSpec{Src: u})
 		reached := st.Reached(v)
 		var want float64
 		if reached {

@@ -89,7 +89,7 @@ func MinMaxUtilization(n *graph.Network, demands []Demand, opts Options) ([]Assi
 		for k := 0; k < d.K; k++ {
 			// The shared kernel with the congestion-aware cost hook: Dist
 			// accumulates cost, extracted paths report true delay.
-			n.Search(st, graph.SearchSpec{Src: d.Src, Target: d.Dst, Cost: cost})
+			n.Search(st, graph.SearchSpec{Src: d.Src, Targets: []int32{d.Dst}, Cost: cost})
 			p, ok := st.Path(d.Dst)
 			if !ok {
 				break

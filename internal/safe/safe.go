@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"runtime"
 	"runtime/debug"
 	"sync"
 
@@ -130,4 +131,48 @@ func (g *Group) Wait() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.err
+}
+
+// chunkInlineBelow is the range length under which Chunks skips the fan-out:
+// spawning goroutines costs more than the work.
+const chunkInlineBelow = 32
+
+// Chunks splits [0,n) into at most GOMAXPROCS contiguous ranges, runs fn on
+// each concurrently and returns once all are done. Short ranges and
+// single-core hosts run fn(0, n) inline, spawning no goroutine. A panic in
+// fn is re-thrown on the caller's goroutine as a *PanicError carrying the
+// panicking goroutine's stack, so an entry point's deferred RecoverTo turns
+// it into an error.
+func Chunks(n int, fn func(lo, hi int)) {
+	workers := runtime.GOMAXPROCS(0)
+	if workers <= 1 || n < chunkInlineBelow {
+		defer func() {
+			if r := recover(); r != nil {
+				panic(AsError(r))
+			}
+		}()
+		fn(0, n)
+		return
+	}
+	var wg sync.WaitGroup
+	var once sync.Once
+	var perr error
+	chunk := (n + workers - 1) / workers
+	for lo := 0; lo < n; lo += chunk {
+		hi := min(lo+chunk, n)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					once.Do(func() { perr = AsError(r) })
+				}
+			}()
+			fn(lo, hi)
+		}()
+	}
+	wg.Wait()
+	if perr != nil {
+		panic(perr)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -135,5 +136,48 @@ func TestRecoverToNoPanic(t *testing.T) {
 	}
 	if err := f(); err != nil {
 		t.Fatalf("spurious error: %v", err)
+	}
+}
+
+// A panic in any range comes back on the caller's goroutine as a
+// *PanicError with the panicking goroutine's stack, on the fan-out path and
+// on the inline one alike.
+func TestChunksPanicBecomesPanicError(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, n := range []int{1000, 4} { // fanned out, inline
+		func() {
+			defer func() {
+				pe, ok := recover().(*PanicError)
+				if !ok {
+					t.Fatalf("n=%d: recovered %T, want *PanicError", n, pe)
+				}
+				if !strings.Contains(pe.Error(), "range exploded") || len(pe.Stack) == 0 {
+					t.Fatalf("n=%d: panic value or stack lost: %v", n, pe)
+				}
+			}()
+			Chunks(n, func(lo, hi int) {
+				if hi == n {
+					panic("range exploded")
+				}
+			})
+		}()
+	}
+}
+
+// Chunks covers [0,n) exactly once, in contiguous ranges.
+func TestChunksCoversRange(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, n := range []int{0, 1, 31, 32, 1001} {
+		seen := make([]int32, n)
+		Chunks(n, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&seen[i], 1)
+			}
+		})
+		for i, c := range seen {
+			if c != 1 {
+				t.Fatalf("n=%d: index %d visited %d times", n, i, c)
+			}
+		}
 	}
 }

@@ -478,7 +478,7 @@ func (s *Server) primeAll(ctx context.Context) (primed int, err error) {
 			}
 			// The walker's network is mutated in place by the next step;
 			// the cache gets an immutable clone with its CSR pre-frozen.
-			clone := w.At(t).Clone()
+			clone := w.At(ctx, t).Clone()
 			key := s.cacheKey(t, mode, "")
 			s.cache.Put(key, clone)
 			primed++

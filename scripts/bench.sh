@@ -5,8 +5,10 @@
 #
 # Targets:
 #   routing   — the routing hot path (Dijkstra, ShortestPath, KDisjointPaths,
-#               Yen, MinMaxUtilization, the Fig 2a sweep, and one full search
-#               tree on a reduced-scale bp/hybrid snapshot) → BENCH_routing.json
+#               Yen, MinMaxUtilization, the Fig 2a sweep, one full search
+#               tree on a reduced-scale bp/hybrid snapshot, and the 120-pair
+#               matrix routed on that snapshot by Trees vs pair by pair)
+#               → BENCH_routing.json
 #   snapshot  — the snapshot engine at paper scale: one full At() rebuild vs
 #               one incremental Advance() step at 1-second resolution
 #               → BENCH_snapshot.json
@@ -37,7 +39,7 @@ TARGET="${1:-all}"
 LABEL="${2:-current}"
 
 run_routing() {
-	PATTERN='^(BenchmarkDijkstra|BenchmarkShortestPath|BenchmarkKDisjoint|BenchmarkYen|BenchmarkMinMaxUtilization|BenchmarkFig2aMinRTT|BenchmarkSearchSnapshot)$'
+	PATTERN='^(BenchmarkDijkstra|BenchmarkShortestPath|BenchmarkKDisjoint|BenchmarkYen|BenchmarkMinMaxUtilization|BenchmarkFig2aMinRTT|BenchmarkSearchSnapshot|BenchmarkTrees)$'
 	go test -run '^$' -bench "$PATTERN" -benchmem -count 1 \
 		. ./internal/graph ./internal/routing |
 		go run ./scripts/benchjson -label "$LABEL" -out BENCH_routing.json
